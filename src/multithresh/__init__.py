@@ -16,10 +16,8 @@ from .aggregation import (
     aggregate_mixture,
     beta_constants,
     candidate_grid,
-    clip,
     empirical_risk,
     erm_select,
-    gamma_residual,
     multi_threshold_candidates,
     multi_threshold_estimate,
     split_sample,
@@ -46,7 +44,6 @@ from .evaluate import (
     check_deviation,
     check_moment,
     mean_risk_by_n,
-    mise,
     monte_carlo,
     oracle_report,
     rate_slope,
@@ -74,12 +71,9 @@ from .wavelets import (
     WaveletExpansion,
     WaveletFamily,
     analyze,
-    besov_seminorm,
     build_family,
     eval_periodized,
     midpoint_grid,
-    parseval_norm,
-    synthesize,
     synthesize_at,
 )
 

@@ -7,7 +7,7 @@ empirical risks). Candidates are combined either by exponential weights
 proportional to exp(-l * empirical risk) or by empirical risk minimization.
 
 Also houses the theoretical constants of the oracle-inequality residual
-(beta1, beta2, gamma) so that reports can evaluate the formal bound.
+(beta1, beta2) so that reports can evaluate the formal bound.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import (
+    MIN_SAMPLE_SIZE,
     DensitySample,
     RegressionSample,
     density_coeffs,
@@ -28,25 +29,22 @@ from .coefficients import (
     regression_coeffs,
 )
 from .thresholding import ThresholdPlan, ThresholdRule, flat_plan, make_plan, threshold_expansion
-from .wavelets import WaveletExpansion, WaveletFamily, midpoint_grid, synthesize_at
+from .wavelets import (DEFAULT_GRID_SIZE, WaveletExpansion, WaveletFamily, midpoint_grid,
+                       synthesize_at)
 
-DEFAULT_GRID_SIZE = 2 ** 14
+SCHEMES = ("AEW", "ERM")
 
-
-def clip(value, a: float, b: float):
-    """Projection onto [a, b]: max(a, min(value, b))."""
-    if a >= b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    out = np.minimum(np.maximum(value, a), b)
-    if np.isscalar(value):
-        return float(out)
-    return out
+# smallest n whose learning part ceil(n / log n) holds MIN_SAMPLE_SIZE points
+MIN_SPLIT_SIZE = 62
 
 
 def split_sample(n: int) -> tuple[int, int]:
     """Sizes (m, l) of the training / learning subsamples, l = ceil(n/log n)."""
-    if n < 16:
-        raise ValueError(f"n must be at least 16, got {n}")
+    if n < MIN_SPLIT_SIZE:
+        raise ValueError(
+            f"n = {n} is too small for the train/learn split: both parts need "
+            f"{MIN_SAMPLE_SIZE} observations, so n must be at least {MIN_SPLIT_SIZE}"
+        )
     l = math.ceil(n / math.log(n))
     return n - l, l
 
@@ -225,7 +223,6 @@ class AggregationDiagnostics:
     risks: np.ndarray
     weights: np.ndarray
     erm_index: int
-    scheme: str
     rho: float
     m: int
     l: int
@@ -253,7 +250,6 @@ def multi_threshold_candidates(
     rho: float | None = None,
     shuffle_split: bool = False,
     shuffle_rng: np.random.Generator | None = None,
-    scheme: str = "AEW",
 ) -> tuple[list[CandidateEstimator], AggregationDiagnostics]:
     """Build and score one clipped thresholded candidate per level offset.
 
@@ -275,21 +271,15 @@ def multi_threshold_candidates(
     if shuffle_split:
         if shuffle_rng is None:
             raise ValueError("shuffle_split requires a generator")
-        perm = shuffle_rng.permutation(n)
-        if is_density:
-            data = DensitySample(data.x[perm])
-        else:
-            data = RegressionSample(data.x[perm], data.y[perm])
+        data = data.subset(shuffle_rng.permutation(n))
 
     m, l = split_sample(n)
     train = data.subset(slice(0, m))
     learn = data.subset(slice(m, n))
     j1 = j1_level(n)
 
-    if is_density:
-        raw = density_coeffs(train, family, j1)
-    else:
-        raw = regression_coeffs(train, family, j1)
+    raw = density_coeffs(train, family, j1) if is_density \
+        else regression_coeffs(train, family, j1)
 
     grid = midpoint_grid(loss.grid_size)
     u_grid = candidate_grid(n, j1)
@@ -303,7 +293,7 @@ def multi_threshold_candidates(
     erm_index = erm_select(risks)
     diag = AggregationDiagnostics(
         u_grid=u_grid, risks=risks, weights=weights, erm_index=erm_index,
-        scheme=scheme, rho=float(rho), m=m, l=l, j1=j1,
+        rho=float(rho), m=m, l=l, j1=j1,
     )
     return candidates, diag
 
@@ -327,11 +317,11 @@ def multi_threshold_estimate(
     less conservative thresholds. The optional shuffled split permutes the
     sample before the deterministic first-m / last-l split.
     """
-    if scheme not in ("AEW", "ERM"):
-        raise ValueError(f"scheme must be 'AEW' or 'ERM', got {scheme!r}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     candidates, diag = multi_threshold_candidates(
         data, family, rule, loss, rho=rho,
-        shuffle_split=shuffle_split, shuffle_rng=shuffle_rng, scheme=scheme,
+        shuffle_split=shuffle_split, shuffle_rng=shuffle_rng,
     )
     if scheme == "ERM":
         return candidates[diag.erm_index], diag
@@ -406,25 +396,3 @@ def theory_constants(model: str, B: float = 1.0) -> TheoryConstants:
     K = loss_difference_bound(model, B)
     beta1, beta2 = beta_constants(c, K)
     return TheoryConstants(kappa=1.0, c=c, K=K, beta1=beta1, beta2=beta2)
-
-
-def gamma_residual(
-    n: int, M: int, kappa: float, gap: float, c: float, K: float
-) -> float:
-    """Residual term of the exact oracle inequality.
-
-    ``gap`` is the excess risk of the best candidate (min over the finite
-    class of A(f) - A*). Above the critical size the residual scales like
-    the square root of gap * log(M)/n; below, like (log(M)/n)^{k/(2k-1)}.
-    """
-    if M < 2:
-        raise ValueError("the oracle residual requires at least two candidates")
-    if gap < 0.0:
-        raise ValueError("the best-candidate gap must be nonnegative")
-    beta1, beta2 = beta_constants(c, K)
-    log_m = math.log(M)
-    exponent = kappa / (2.0 * kappa - 1.0)
-    threshold = (log_m / (beta1 * n)) ** exponent
-    if gap >= threshold:
-        return math.sqrt(gap ** (1.0 / kappa) * log_m / (beta1 * n))
-    return (log_m / (beta2 * n)) ** exponent

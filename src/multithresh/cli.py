@@ -17,19 +17,22 @@ times are deliberately kept out of the CSV).
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import sys
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .aggregation import (
+    SCHEMES,
     LossSpec,
     beta_constants,
     multi_threshold_estimate,
     theory_constants,
 )
-from .coefficients import DensitySample, RegressionSample, min_rho
+from .coefficients import MIN_SAMPLE_SIZE, DensitySample, RegressionSample, min_rho
 from .evaluate import (
     ExperimentResult,
     MonteCarloConfig,
@@ -40,9 +43,11 @@ from .evaluate import (
     oracle_report,
     rate_slope,
 )
-from .simulate import get_target, sample_density, sample_regression
-from .thresholding import ThresholdRule, verify_ongle
-from .wavelets import build_family, midpoint_grid
+from .simulate import TargetFunction, get_target, sample_density, sample_regression
+from .thresholding import RULE_KINDS, ThresholdRule, verify_ongle
+from .wavelets import DEFAULT_GRID_SIZE, WaveletFamily, build_family, midpoint_grid
+
+MODELS = ("density", "regression")
 
 
 class ConfigError(Exception):
@@ -96,7 +101,7 @@ def _merge_config(args: argparse.Namespace, keys: dict[str, type]) -> dict:
             try:
                 merged[key] = _cast(file_values[key], cast)
             except ValueError as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from exc
+                raise ValueError(f"config key {key!r}: {exc}") from exc
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
@@ -117,7 +122,19 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in str(text).split(","))
     except ValueError as exc:
-        raise ConfigError(f"invalid sample-size list {text!r}") from exc
+        raise ValueError(f"invalid sample-size list {text!r}") from exc
+
+
+def _parse_rho(text: str) -> float | None:
+    if text == "theory":
+        return None  # the pipeline substitutes the smallest deviation-valid constant
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ValueError(f"rho must be 'theory' or a number, got {text!r}") from exc
+    if not 0.0 < value < math.inf:
+        raise ValueError("rho must be positive and finite")
+    return value
 
 
 def read_sample_file(path: str, model: str):
@@ -161,7 +178,7 @@ def write_sample_file(path: Path, sample) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Config mapping and subcommands
 # ---------------------------------------------------------------------------
 
 _COMMON_KEYS = {
@@ -169,69 +186,110 @@ _COMMON_KEYS = {
     "rule": str, "scheme": str, "rho": str, "n": str, "reps": int,
     "seed": int, "grid_size": int, "noise": str, "B": float,
 }
+_RATES_KEYS = {**_COMMON_KEYS, "universal": bool, "universal_c": float}
+# the checks always run in the density model and take the rule's constants
+_CHECK_KEYS = {**{k: v for k, v in _COMMON_KEYS.items() if k != "model"},
+               "c1": float, "c2": float}
+
+_DEFAULTS = {
+    "model": "density", "target": "uniform", "family": "Haar", "cascade_depth": 12,
+    "rule": "hard", "scheme": "AEW", "rho": "theory", "n": "1024", "reps": 100,
+    "seed": 42, "grid_size": DEFAULT_GRID_SIZE, "noise": "bernoulli", "B": 2.0,
+    "c1": None, "c2": None, "universal": False, "universal_c": 1.0,
+}
 
 
-def _resolve_rho(text: str | None) -> float | None:
-    if text is None or text == "theory":
-        return None  # the pipeline substitutes the smallest deviation-valid constant
+@dataclass(frozen=True)
+class Setup:
+    """One subcommand's merged config and the pipeline objects built from it."""
+
+    cfg: dict
+    target: TargetFunction
+    family: WaveletFamily
+    rule: ThresholdRule
+    loss: LossSpec
+    rho: float | None  # None = the smallest deviation-valid constant
+    ns: tuple[int, ...]
+    monte_carlo: MonteCarloConfig | None
+
+    @property
+    def n(self) -> int:
+        """The sample size of a subcommand that takes a single one."""
+        if len(self.ns) != 1:
+            raise ConfigError(f"expected one sample size, got {self.ns}")
+        return self.ns[0]
+
+
+def _setup(args, keys=_COMMON_KEYS, monte_carlo: bool = False, **defaults) -> Setup:
+    """Map one subcommand's config to pipeline objects.
+
+    A flag wins over the config file, which wins over ``defaults`` and then
+    ``_DEFAULTS``. ``monte_carlo`` also builds the rates experiment config.
+    This is the only place where a ValueError becomes a ConfigError, so
+    every invalid config value exits 1 with a message.
+    """
     try:
-        value = float(text)
-    except ValueError as exc:
-        raise ConfigError(f"rho must be 'theory' or a number, got {text!r}") from exc
-    if value <= 0:
-        raise ConfigError("rho must be positive")
-    return value
-
-
-def cmd_simulate(args) -> int:
-    cfg = _merge_config(args, _COMMON_KEYS)
-    model = cfg.get("model", "density")
-    try:
-        target = get_target(cfg.get("target", "uniform"), model)
-        n = int(cfg.get("n", 1024))
-        seed = int(cfg.get("seed", 42))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if model == "density":
-        sample = sample_density(target, n, seed)
-    else:
-        sample = sample_regression(target, n, cfg.get("noise", "bernoulli"), seed)
-    write_sample_file(Path(args.out), sample)
-    print(f"wrote {n} observations ({model}, {target.name}) to {args.out}")
-    return 0
-
-
-def cmd_estimate(args) -> int:
-    cfg = _merge_config(args, _COMMON_KEYS)
-    model = cfg.get("model", "density")
-    if model not in ("density", "regression"):
-        raise ConfigError(f"unknown model {model!r}")
-    family = build_family(cfg.get("family", "Haar"), int(cfg.get("cascade_depth", 12)))
-    rule = ThresholdRule(cfg.get("rule", "hard"))
-    grid_size = int(cfg.get("grid_size", 2 ** 14))
-    B = float(cfg.get("B", 2.0))
-    loss = LossSpec.regression(grid_size) if model == "regression" \
-        else LossSpec.density(B, grid_size)
-    scheme = cfg.get("scheme", "AEW")
-    sample = read_sample_file(args.input, model)
-    rho = _resolve_rho(cfg.get("rho"))
-    try:
-        estimator, diag = multi_threshold_estimate(
-            sample, family, rule, loss, rho=rho, scheme=scheme
+        cfg = {**_DEFAULTS, **defaults, **_merge_config(args, keys)}
+        model, scheme, grid_size = cfg["model"], cfg["scheme"], cfg["grid_size"]
+        if model not in MODELS:
+            raise ValueError(f"unknown model {model!r}")
+        if scheme not in SCHEMES:
+            raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+        ns = _parse_n_list(cfg["n"])
+        if min(ns) < MIN_SAMPLE_SIZE:
+            raise ValueError(f"sample sizes must be at least {MIN_SAMPLE_SIZE}, got {min(ns)}")
+        rho = _parse_rho(cfg["rho"])
+        return Setup(
+            cfg=cfg,
+            target=get_target(cfg["target"], model),
+            family=build_family(cfg["family"], cfg["cascade_depth"]),
+            rule=ThresholdRule(cfg["rule"], cfg["c1"], cfg["c2"]),
+            loss=LossSpec.regression(grid_size) if model == "regression"
+            else LossSpec.density(cfg["B"], grid_size),
+            rho=rho,
+            ns=ns,
+            monte_carlo=MonteCarloConfig(
+                model=model, target=cfg["target"], ns=ns, reps=cfg["reps"],
+                root_seed=cfg["seed"], family=cfg["family"],
+                cascade_depth=cfg["cascade_depth"], rule=cfg["rule"], scheme=scheme,
+                rho=rho, grid_size=grid_size, noise=cfg["noise"],
+                include_universal=cfg["universal"], universal_c=cfg["universal_c"],
+            ) if monte_carlo else None,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    grid = midpoint_grid(grid_size)
+
+def cmd_simulate(args) -> int:
+    setup = _setup(args)
+    cfg, n = setup.cfg, setup.n
+    if cfg["model"] == "density":
+        sample = sample_density(setup.target, n, cfg["seed"])
+    else:
+        sample = sample_regression(setup.target, n, cfg["noise"], cfg["seed"])
+    write_sample_file(Path(args.out), sample)
+    print(f"wrote {n} observations ({cfg['model']}, {setup.target.name}) to {args.out}")
+    return 0
+
+
+def cmd_estimate(args) -> int:
+    setup = _setup(args)
+    model, scheme = setup.cfg["model"], setup.cfg["scheme"]
+    sample = read_sample_file(args.input, model)
+    try:
+        estimator, diag = multi_threshold_estimate(
+            sample, setup.family, setup.rule, setup.loss, rho=setup.rho, scheme=scheme
+        )
+    except ValueError as exc:
+        raise DataError(f"{args.input}: {exc}") from exc
+
+    grid_size = setup.loss.grid_size
     header = ["x", "f_tilde"]
-    columns = [grid, estimator.grid_values if hasattr(estimator, "grid_values")
-               else estimator(grid)]
-    if args.per_candidate:
-        candidates = getattr(estimator, "candidates", None)
-        if candidates is not None:
-            for cand in candidates:
-                header.append(f"candidate_u{cand.u}")
-                columns.append(cand.grid_values)
+    columns = [midpoint_grid(grid_size), estimator.grid_values]
+    # an ERM estimate is a single candidate and has no per-candidate columns
+    for cand in getattr(estimator, "candidates", []) if args.per_candidate else []:
+        header.append(f"candidate_u{cand.u}")
+        columns.append(cand.grid_values)
     rows = [[col[i] for col in columns] for i in range(grid_size)]
     out = Path(args.out)
     _write_csv(out, header, rows)
@@ -255,11 +313,13 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-_ROW_HEADER = [
-    "model", "target", "scheme", "rule", "rho", "n", "rep", "root_seed",
-    "m", "l", "j1", "M", "u", "candidate_risk", "weight",
-    "aggregate_risk", "erm_risk", "chosen_u", "universal_risk",
-]
+# rates CSV columns, each with the parser of its values
+_ROW_COLUMNS = {
+    "model": str, "target": str, "scheme": str, "rule": str, "rho": float, "n": int,
+    "rep": int, "root_seed": int, "m": int, "l": int, "j1": int, "M": int, "u": int,
+    "candidate_risk": float, "weight": float, "aggregate_risk": float, "erm_risk": float,
+    "chosen_u": int, "universal_risk": lambda text: float(text) if text else None,
+}
 
 
 def results_to_rows(results: list[ExperimentResult], scheme: str, rule: str) -> list[list]:
@@ -277,102 +337,60 @@ def results_to_rows(results: list[ExperimentResult], scheme: str, rule: str) -> 
 
 def rows_to_results(path: str) -> list[ExperimentResult]:
     """Rebuild experiment results from a rates CSV (inverse of results_to_rows)."""
+    grouped: dict[tuple, tuple[dict, dict]] = {}
     try:
-        lines = Path(path).read_text().splitlines()
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in _ROW_COLUMNS if c not in (reader.fieldnames or [])]
+            if missing:
+                raise DataError(f"{path}: missing columns {missing}")
+            for row in reader:
+                try:
+                    if None in row or None in row.values():
+                        raise ValueError(f"expected {len(reader.fieldnames)} fields")
+                    values = {c: parse(row[c]) for c, parse in _ROW_COLUMNS.items()}
+                except ValueError as exc:
+                    raise DataError(f"{path}:{reader.line_num}: malformed row: {exc}") from exc
+                key = (values["model"], values["target"], values["n"], values["rep"])
+                by_u = grouped.setdefault(key, (values, {}))[1]
+                by_u[values["u"]] = (values["candidate_risk"], values["weight"])
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if not lines:
-        raise DataError(f"{path}: empty file")
-    header = lines[0].split(",")
-    idx = {name: i for i, name in enumerate(header)}
-    missing = [c for c in _ROW_HEADER if c not in idx]
-    if missing:
-        raise DataError(f"{path}: missing columns {missing}")
-    grouped: dict[tuple, dict] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        try:
-            key = (parts[idx["model"]], parts[idx["target"]],
-                   int(parts[idx["n"]]), int(parts[idx["rep"]]))
-            entry = grouped.setdefault(key, {
-                "risks": {}, "weights": {},
-                "meta": parts,
-            })
-            u = int(parts[idx["u"]])
-            entry["risks"][u] = float(parts[idx["candidate_risk"]])
-            entry["weights"][u] = float(parts[idx["weight"]])
-        except (ValueError, IndexError) as exc:
-            raise DataError(f"{path}:{lineno}: malformed row: {exc}") from exc
+    if not grouped:
+        raise DataError(f"{path}: no data rows")
     results = []
-    for (model, target, n, rep), entry in sorted(grouped.items()):
-        parts = entry["meta"]
-        us = sorted(entry["risks"])
-        universal_text = parts[idx["universal_risk"]]
+    for first, by_u in (grouped[key] for key in sorted(grouped)):
+        us = sorted(by_u)
         results.append(ExperimentResult(
-            model=model, target=target, n=n, rep=rep,
-            root_seed=int(parts[idx["root_seed"]]),
-            candidate_risks=tuple(entry["risks"][u] for u in us),
-            aggregate_risk=float(parts[idx["aggregate_risk"]]),
-            erm_risk=float(parts[idx["erm_risk"]]),
-            weights=tuple(entry["weights"][u] for u in us),
-            chosen_u=int(parts[idx["chosen_u"]]),
-            universal_risk=float(universal_text) if universal_text else None,
-            m=int(parts[idx["m"]]), l=int(parts[idx["l"]]),
-            j1=int(parts[idx["j1"]]), rho=float(parts[idx["rho"]]),
-            wall_time=0.0,
+            **{f.name: first[f.name] for f in fields(ExperimentResult) if f.name in first},
+            candidate_risks=tuple(by_u[u][0] for u in us),
+            weights=tuple(by_u[u][1] for u in us),
         ))
     return results
 
 
 def cmd_rates(args) -> int:
-    cfg = _merge_config(args, {**_COMMON_KEYS, "universal": bool, "universal_c": float})
-    model = cfg.get("model", "density")
-    target_name = cfg.get("target", "triangle")
-    ns = _parse_n_list(cfg.get("n", "512,1024,2048,4096,8192"))
-    if len(ns) < 3:
+    setup = _setup(args, _RATES_KEYS, monte_carlo=True,
+                   target="triangle", n="512,1024,2048,4096,8192")
+    config = setup.monte_carlo
+    if len(config.ns) < 3:
         raise ConfigError("rates needs at least three sample sizes")
-    reps = int(cfg.get("reps", 100))
-    if reps < 1:
-        raise ConfigError("reps must be at least 1")
-    rho = _resolve_rho(cfg.get("rho"))
-    try:
-        config = MonteCarloConfig(
-            model=model,
-            target=target_name,
-            ns=ns,
-            reps=reps,
-            root_seed=int(cfg.get("seed", 42)),
-            family=cfg.get("family", "Haar"),
-            cascade_depth=int(cfg.get("cascade_depth", 12)),
-            rule=cfg.get("rule", "hard"),
-            scheme=cfg.get("scheme", "AEW"),
-            rho=rho,
-            grid_size=int(cfg.get("grid_size", 2 ** 14)),
-            noise=cfg.get("noise", "bernoulli"),
-            include_universal=bool(cfg.get("universal", False)),
-            universal_c=float(cfg.get("universal_c", 1.0)),
-        )
-        target = get_target(target_name, model)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
     results = monte_carlo(config)
     out = Path(args.out)
-    _write_csv(out, _ROW_HEADER, results_to_rows(results, config.scheme, config.rule))
+    _write_csv(out, list(_ROW_COLUMNS), results_to_rows(results, config.scheme, config.rule))
 
     risk_column = "aggregate_risk" if config.scheme == "AEW" else "erm_risk"
     ns_sorted, means, _ = mean_risk_by_n(results, risk_column)
     slope, stderr = rate_slope(ns_sorted, means)
-    s = target.smoothness[0]
+    s = setup.target.smoothness[0]
     expected = -1.0 if math.isinf(s) else -2.0 * s / (2.0 * s + 1.0)
     summary_header = ["model", "target", "scheme", "rule", "rho_mode", "reps",
                       "n_values", "slope", "slope_stderr", "expected_slope"]
     summary_row = [
         config.model, config.target, config.scheme, config.rule,
         "theory" if config.rho is None else _fmt(config.rho),
-        reps, ";".join(str(n) for n in ns_sorted), slope, stderr, expected,
+        config.reps, ";".join(str(n) for n in ns_sorted), slope, stderr, expected,
     ]
     if config.include_universal:
         _, u_means, _ = mean_risk_by_n(results, "universal_risk")
@@ -386,94 +404,87 @@ def cmd_rates(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    what = args.what
-    if what == "constants":
-        c = float(args.c if args.c is not None else 16.0)
-        K = float(args.K if args.K is not None else 1.0)
-        beta1, beta2 = beta_constants(c, K)
-        print(f"beta1 = {_fmt(beta1)}")
-        print(f"beta2 = {_fmt(beta2)}")
-        return 0
+def _verdict(passed: bool, failure: str, success: str = "pass") -> int:
+    """Print ``success`` and return exit code 0, or raise the failure."""
+    if not passed:
+        raise CheckFailure(failure)
+    print(success)
+    return 0
 
-    if what == "ongle":
-        rule = ThresholdRule(
-            args.rule or "hard",
-            c1=float(args.c1) if args.c1 is not None else None,
-            c2=float(args.c2) if args.c2 is not None else None,
-        )
-        report = verify_ongle(rule, (0.1, 0.5, 1.0, 2.0), 0.01, 10.0)
-        print(f"rule = {report.rule_kind}, c1 = {_fmt(report.c1)}, c2 = {_fmt(report.c2)}")
-        print(f"points checked = {report.points_checked}")
-        if report.passed:
-            print("pass")
-            return 0
+
+def _check_constants(args) -> int:
+    beta1, beta2 = beta_constants(16.0 if args.c is None else args.c,
+                                  1.0 if args.K is None else args.K)
+    print(f"beta1 = {_fmt(beta1)}")
+    print(f"beta2 = {_fmt(beta2)}")
+    return 0
+
+
+def _check_ongle(args) -> int:
+    report = verify_ongle(_setup(args, _CHECK_KEYS).rule, (0.1, 0.5, 1.0, 2.0), 0.01, 10.0)
+    print(f"rule = {report.rule_kind}, c1 = {_fmt(report.c1)}, c2 = {_fmt(report.c2)}")
+    print(f"points checked = {report.points_checked}")
+    if not report.passed:
         x, y, u, lhs, rhs = report.witness
         print(f"FAIL at x={x} y={y} u={u}: lhs={lhs} > rhs={rhs}")
-        raise CheckFailure("stability condition violated")
+    return _verdict(report.passed, "stability condition violated")
 
-    if what == "moment":
-        family = build_family(args.family or "Haar")
-        target = get_target(args.target or "uniform", "density")
-        ns = _parse_n_list(args.n or "256,1024,4096")
-        reps = int(args.reps or 10000)
-        report = check_moment(
-            family, target, [(2, 0), (3, 1)], ns, reps, int(args.seed or 42)
-        )
-        for n, m4 in zip(report.ns, report.fourth_moments):
-            print(f"n = {n}: E|beta_hat - beta|^4 = {_fmt(m4)}")
-        print(f"slope = {report.slope:.4f} +/- {report.stderr:.4f}, band {report.band}")
-        if report.passed:
-            print("pass")
-            return 0
-        raise CheckFailure("moment slope outside band")
 
-    if what == "deviation":
-        family = build_family(args.family or "Haar")
-        target = get_target(args.target or "uniform", "density")
-        n = int(args.n or 1024)
-        reps = int(args.reps or 100000)
-        rho = float(args.rho) if args.rho not in (None, "theory") \
-            else min_rho(max(1.0, target.bound), family.psi_sup, "density")
-        a_values = tuple(float(a) for a in (args.a or "1,2,3,4").split(","))
-        report = check_deviation(family, target, rho, a_values, n, reps,
-                                 int(args.seed or 42))
-        for a, f, b, t in zip(report.a_values, report.frequencies,
-                              report.bounds, report.tolerances):
-            print(f"a = {a}: frequency = {_fmt(f)}, bound = {_fmt(b)} (+3se {_fmt(t)})")
-        if report.passed:
-            print("pass")
-            return 0
-        raise CheckFailure("deviation frequency above bound")
+def _check_moment(args) -> int:
+    setup = _setup(args, _CHECK_KEYS, n="256,1024,4096", reps=10000)
+    report = check_moment(setup.family, setup.target, [(2, 0), (3, 1)], setup.ns,
+                          setup.cfg["reps"], setup.cfg["seed"])
+    for n, m4 in zip(report.ns, report.fourth_moments):
+        print(f"n = {n}: E|beta_hat - beta|^4 = {_fmt(m4)}")
+    print(f"slope = {report.slope:.4f} +/- {report.stderr:.4f}, band {report.band}")
+    return _verdict(report.passed, "moment slope outside band")
 
-    if what == "oracle":
-        if not args.input:
-            raise ConfigError("check oracle requires --input rows.csv")
-        results = rows_to_results(args.input)
-        keys = {(r.model, r.target, r.n) for r in results}
-        if len(keys) > 1:
-            # keep only the largest n by default; the user can pre-filter
-            n_pick = max(k[2] for k in keys)
-            results = [r for r in results if r.n == n_pick]
-        model = results[0].model
-        target = get_target(results[0].target, model)
-        constants = theory_constants(model, max(1.0, target.bound))
-        report = oracle_report(results, constants, float(args.epsilon or 1.0))
-        print(f"model = {report.model}, target = {report.target}, n = {report.n}, "
-              f"reps = {report.n_reps}, M = {report.M}, l = {report.l}")
-        print(f"LHS (mean aggregate risk)     = {_fmt(report.lhs)}")
-        print(f"min candidate mean risk       = {_fmt(report.min_candidate_mean)}")
-        print(f"residual 4 log M/(eps b2 l)   = {_fmt(report.residual)}")
-        print(f"RHS                           = {_fmt(report.rhs)}")
-        print(f"ratio LHS / min-candidate     = {_fmt(report.ratio)}")
-        print(f"best epsilon on grid          = {_fmt(report.best_epsilon)} "
-              f"(RHS {_fmt(report.best_rhs)})")
-        if report.passed_formal:
-            print("bound satisfied (non-sharp at this scale)")
-            return 0
-        raise CheckFailure("oracle bound violated")
 
-    raise ConfigError(f"unknown check {what!r}")
+def _check_deviation(args) -> int:
+    setup = _setup(args, _CHECK_KEYS, reps=100000)
+    rho = setup.rho if setup.rho is not None \
+        else min_rho(max(1.0, setup.target.bound), setup.family.psi_sup, "density")
+    a_values = tuple(float(a) for a in (args.a or "1,2,3,4").split(","))
+    report = check_deviation(setup.family, setup.target, rho, a_values, setup.n,
+                             setup.cfg["reps"], setup.cfg["seed"])
+    for a, f, b, t in zip(report.a_values, report.frequencies,
+                          report.bounds, report.tolerances):
+        print(f"a = {a}: frequency = {_fmt(f)}, bound = {_fmt(b)} (+3se {_fmt(t)})")
+    return _verdict(report.passed, "deviation frequency above bound")
+
+
+def _check_oracle(args) -> int:
+    if not args.input:
+        raise ConfigError("check oracle requires --input rows.csv")
+    results = rows_to_results(args.input)
+    ns = sorted({r.n for r in results})
+    if len(ns) > 1:
+        print(f"check oracle: kept n = {ns[-1]}, dropped n = "
+              + ", ".join(str(n) for n in ns[:-1]), file=sys.stderr)
+        results = [r for r in results if r.n == ns[-1]]
+    model = results[0].model
+    target = get_target(results[0].target, model)
+    constants = theory_constants(model, max(1.0, target.bound))
+    report = oracle_report(results, constants, float(args.epsilon or 1.0))
+    print(f"model = {report.model}, target = {report.target}, n = {report.n}, "
+          f"reps = {report.n_reps}, M = {report.M}, l = {report.l}")
+    print(f"LHS (mean aggregate risk)     = {_fmt(report.lhs)}")
+    print(f"min candidate mean risk       = {_fmt(report.min_candidate_mean)}")
+    print(f"residual 4 log M/(eps b2 l)   = {_fmt(report.residual)}")
+    print(f"RHS                           = {_fmt(report.rhs)}")
+    print(f"ratio LHS / min-candidate     = {_fmt(report.ratio)}")
+    print(f"best epsilon on grid          = {_fmt(report.best_epsilon)} "
+          f"(RHS {_fmt(report.best_rhs)})")
+    return _verdict(report.passed_formal, "oracle bound violated",
+                    "bound satisfied (non-sharp at this scale)")
+
+
+_CHECKS = {"constants": _check_constants, "ongle": _check_ongle, "moment": _check_moment,
+           "deviation": _check_deviation, "oracle": _check_oracle}
+
+
+def cmd_check(args) -> int:
+    return _CHECKS[args.what](args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -485,12 +496,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--model", choices=["density", "regression"])
+        p.add_argument("--model", choices=MODELS)
         p.add_argument("--target")
         p.add_argument("--family")
         p.add_argument("--cascade-depth", dest="cascade_depth", type=int)
-        p.add_argument("--rule", choices=["hard", "soft", "garrote"])
-        p.add_argument("--scheme", choices=["AEW", "ERM"])
+        p.add_argument("--rule", choices=RULE_KINDS)
+        p.add_argument("--scheme", choices=SCHEMES)
         p.add_argument("--rho", help="'theory' or a positive number")
         p.add_argument("--n", help="sample size, or comma list for rates")
         p.add_argument("--reps", type=int)
@@ -521,8 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rates.set_defaults(func=cmd_rates)
 
     p_check = sub.add_parser("check", help="verification reports")
-    p_check.add_argument("what", choices=["constants", "ongle", "moment",
-                                          "deviation", "oracle"])
+    p_check.add_argument("what", choices=_CHECKS)
     add_common(p_check)
     p_check.add_argument("--c", type=float, help="margin constant")
     p_check.add_argument("--K", type=float, help="loss-difference bound")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wavelets import WaveletExpansion, WaveletFamily, _level_sums
+from .wavelets import WaveletExpansion, WaveletFamily, analyze_points
 
 MIN_SAMPLE_SIZE = 16
 
@@ -32,15 +32,16 @@ class DensitySample:
         object.__setattr__(self, "x", x)
         if len(x) < MIN_SAMPLE_SIZE:
             raise ValueError(f"need at least {MIN_SAMPLE_SIZE} observations, got {len(x)}")
-        if np.any((x < 0.0) | (x > 1.0)):
-            raise ValueError("density observations must lie in [0, 1]")
+        # written positively so that NaN fails it too
+        if not np.all((x >= 0.0) & (x <= 1.0)):
+            raise ValueError("density observations must be finite and in [0, 1]")
 
     @property
     def n(self) -> int:
         return len(self.x)
 
-    def subset(self, sl: slice) -> "DensitySample":
-        return DensitySample(self.x[sl])
+    def subset(self, index: slice | np.ndarray) -> "DensitySample":
+        return DensitySample(self.x[index])
 
 
 @dataclass(frozen=True)
@@ -59,28 +60,32 @@ class RegressionSample:
             raise ValueError("x and y must have the same length")
         if len(x) < MIN_SAMPLE_SIZE:
             raise ValueError(f"need at least {MIN_SAMPLE_SIZE} observations, got {len(x)}")
-        if np.any((x < 0.0) | (x > 1.0)) or np.any((y < 0.0) | (y > 1.0)):
-            raise ValueError("regression observations must lie in the unit square")
+        if not np.all((x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0)):
+            raise ValueError("regression observations must be finite and in [0, 1]")
 
     @property
     def n(self) -> int:
         return len(self.x)
 
-    def subset(self, sl: slice) -> "RegressionSample":
-        return RegressionSample(self.x[sl], self.y[sl])
+    def subset(self, index: slice | np.ndarray) -> "RegressionSample":
+        return RegressionSample(self.x[index], self.y[index])
 
 
-def j1_level(n: int) -> int:
-    """The unique integer j1 with n/log n <= 2^j1 < 2 n/log n."""
-    if n < MIN_SAMPLE_SIZE:
-        raise ValueError(f"n must be at least {MIN_SAMPLE_SIZE}, got {n}")
-    target = n / math.log(n)
+def _dyadic_level(target: float) -> int:
+    """The unique integer j with target <= 2^j < 2 target, for target >= 1."""
     j = math.ceil(math.log2(target))
     while 2.0 ** j < target:
         j += 1
     while j > 0 and 2.0 ** (j - 1) >= target:
         j -= 1
     return j
+
+
+def j1_level(n: int) -> int:
+    """The unique integer j1 with n/log n <= 2^j1 < 2 n/log n."""
+    if n < MIN_SAMPLE_SIZE:
+        raise ValueError(f"n must be at least {MIN_SAMPLE_SIZE}, got {n}")
+    return _dyadic_level(n / math.log(n))
 
 
 def js_level(n: int, s: float) -> int:
@@ -89,25 +94,7 @@ def js_level(n: int, s: float) -> int:
         raise ValueError("n must be at least 2")
     if s <= 0:
         raise ValueError("smoothness s must be positive")
-    target = n ** (1.0 / (1.0 + 2.0 * s))
-    j = math.ceil(math.log2(target))
-    while 2.0 ** j < target:
-        j += 1
-    while j > 0 and 2.0 ** (j - 1) >= target:
-        j -= 1
-    return j
-
-
-def _expansion_from_sums(
-    family: WaveletFamily, x: np.ndarray, weights: np.ndarray | None,
-    j1: int, n: int,
-) -> WaveletExpansion:
-    alpha = _level_sums(family, "scaling", family.tau, x, weights) / n
-    beta = [
-        _level_sums(family, "wavelet", j, x, weights) / n
-        for j in range(family.tau, j1 + 1)
-    ]
-    return WaveletExpansion(family.tau, j1, alpha, beta)
+    return _dyadic_level(n ** (1.0 / (1.0 + 2.0 * s)))
 
 
 def density_coeffs(
@@ -116,7 +103,7 @@ def density_coeffs(
     """Empirical coefficients (1/n) sum_i phi/psi_{j,k}(X_i) up to level j1."""
     if j1 < family.tau:
         raise ValueError(f"j1 = {j1} below coarsest level tau = {family.tau}")
-    return _expansion_from_sums(family, sample.x, None, j1, sample.n)
+    return analyze_points(family, sample.x, None, j1, sample.n)
 
 
 def regression_coeffs(
@@ -125,7 +112,17 @@ def regression_coeffs(
     """Empirical coefficients (1/n) sum_i Y_i phi/psi_{j,k}(X_i) up to level j1."""
     if j1 < family.tau:
         raise ValueError(f"j1 = {j1} below coarsest level tau = {family.tau}")
-    return _expansion_from_sums(family, sample.x, sample.y, j1, sample.n)
+    return analyze_points(family, sample.x, sample.y, j1, sample.n)
+
+
+def _check_model_bound(model: str, B: float) -> None:
+    """The density model needs a bound B >= 1; the regression model fixes B = 1."""
+    if model not in ("density", "regression"):
+        raise ValueError(f"model must be 'density' or 'regression', got {model!r}")
+    if model == "regression" and B != 1.0:
+        raise ValueError("the regression model fixes B = 1")
+    if B < 1.0:
+        raise ValueError(f"density bound B must be >= 1, got {B}")
 
 
 def min_rho(B: float, psi_sup: float, model: str) -> float:
@@ -136,13 +133,7 @@ def min_rho(B: float, psi_sup: float, model: str) -> float:
     rho^2 - a rho - b with a = 4 log(2) (8/(3 sqrt 2))(psi_sup + B) and
     b = 32 log(2) B.
     """
-    if model not in ("density", "regression"):
-        raise ValueError(f"model must be 'density' or 'regression', got {model!r}")
-    if model == "regression":
-        if B != 1.0:
-            raise ValueError("the regression model fixes B = 1")
-    elif B < 1.0:
-        raise ValueError(f"density bound B must be >= 1, got {B}")
+    _check_model_bound(model, B)
     ln2 = math.log(2.0)
     a = 4.0 * ln2 * (8.0 / (3.0 * math.sqrt(2.0))) * (psi_sup + B)
     b = 4.0 * ln2 * 8.0 * B
@@ -159,21 +150,11 @@ def loss_difference_bound(model: str, B: float = 1.0) -> float:
     Regression: differences of squares of [0, 1] quantities, K = 1. Density
     quadratic loss on functions clipped to [0, B]: K = B^2 + 2B.
     """
-    if model == "regression":
-        return 1.0
-    if model == "density":
-        if B < 1.0:
-            raise ValueError(f"density bound B must be >= 1, got {B}")
-        return B * B + 2.0 * B
-    raise ValueError(f"model must be 'density' or 'regression', got {model!r}")
+    _check_model_bound(model, B)
+    return 1.0 if model == "regression" else B * B + 2.0 * B
 
 
 def margin_constant(model: str, B: float = 1.0) -> float:
-    """Margin-assumption constant c (margin exponent 1): 16, or 16 B^2."""
-    if model == "regression":
-        return 16.0
-    if model == "density":
-        if B < 1.0:
-            raise ValueError(f"density bound B must be >= 1, got {B}")
-        return 16.0 * B * B
-    raise ValueError(f"model must be 'density' or 'regression', got {model!r}")
+    """Margin-assumption constant c (margin exponent 1): 16 B^2, with B = 1 in regression."""
+    _check_model_bound(model, B)
+    return 16.0 * B * B

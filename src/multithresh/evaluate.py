@@ -10,32 +10,21 @@ can be re-analyzed without re-simulation.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .aggregation import (
     LossSpec,
+    aggregate_mixture,
     multi_threshold_candidates,
+    split_sample,
     universal_threshold_estimate,
 )
 from .simulate import TargetFunction, derive_rng, get_target, sample_density, sample_regression
 from .thresholding import ThresholdRule
-from .wavelets import WaveletFamily, analyze, build_family, eval_periodized, midpoint_grid
-
-
-def mise(estimator, target: TargetFunction, grid_size: int = 2 ** 14) -> float:
-    """Midpoint-quadrature integrated squared error against the target."""
-    if grid_size < 2 ** 10:
-        raise ValueError("grid_size must be at least 2^10")
-    cached = getattr(estimator, "grid_values", None)
-    if cached is not None and len(cached) == grid_size:
-        vals = cached
-    else:
-        vals = np.asarray(estimator(midpoint_grid(grid_size)), dtype=float)
-    tvals = target(midpoint_grid(grid_size))
-    return float(np.mean((vals - tvals) ** 2))
+from .wavelets import (DEFAULT_GRID_SIZE, WaveletFamily, analyze, build_family,
+                       eval_periodized, midpoint_grid)
 
 
 def rate_slope(ns, mean_risks) -> tuple[float, float]:
@@ -76,7 +65,7 @@ class MonteCarloConfig:
     rule: str = "hard"
     scheme: str = "AEW"
     rho: float | None = None  # None = smallest deviation-valid constant
-    grid_size: int = 2 ** 14
+    grid_size: int = DEFAULT_GRID_SIZE
     noise: str = "bernoulli"
     include_universal: bool = False
     universal_c: float = 1.0
@@ -86,8 +75,10 @@ class MonteCarloConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
-        if not self.ns or any(n < 16 for n in self.ns):
-            raise ValueError("all sample sizes must be at least 16")
+        if not self.ns:
+            raise ValueError("need at least one sample size")
+        for n in self.ns:
+            split_sample(n)
 
     def loss(self, target: TargetFunction) -> LossSpec:
         if self.model == "regression":
@@ -114,7 +105,6 @@ class ExperimentResult:
     l: int
     j1: int
     rho: float
-    wall_time: float
 
     @property
     def M(self) -> int:
@@ -132,10 +122,13 @@ def monte_carlo(config: MonteCarloConfig) -> list[ExperimentResult]:
     rule = ThresholdRule(config.rule)
     loss = config.loss(target)
     tvals = target(midpoint_grid(config.grid_size))
+
+    def risk(values: np.ndarray) -> float:
+        return float(np.mean((values - tvals) ** 2))
+
     results: list[ExperimentResult] = []
     for n in config.ns:
         for rep in range(config.reps):
-            t0 = time.perf_counter()
             rng = derive_rng(config.root_seed, n, rep)
             if config.model == "density":
                 sample = sample_density(target, n, rng)
@@ -144,29 +137,22 @@ def monte_carlo(config: MonteCarloConfig) -> list[ExperimentResult]:
             candidates, diag = multi_threshold_candidates(
                 sample, family, rule, loss, rho=config.rho
             )
-            cand_risks = np.array([
-                float(np.mean((c.grid_values - tvals) ** 2)) for c in candidates
-            ])
-            agg_values = np.zeros_like(tvals)
-            for w, cand in zip(diag.weights, candidates):
-                agg_values += w * cand.grid_values
-            agg_risk = float(np.mean((agg_values - tvals) ** 2))
-            erm_risk = float(cand_risks[diag.erm_index])
+            cand_risks = [risk(c.grid_values) for c in candidates]
             universal_risk = None
             if config.include_universal:
                 baseline = universal_threshold_estimate(
                     sample, family, rule, loss, c=config.universal_c
                 )
-                universal_risk = float(np.mean((baseline.grid_values - tvals) ** 2))
+                universal_risk = risk(baseline.grid_values)
             results.append(ExperimentResult(
                 model=config.model,
                 target=config.target,
                 n=n,
                 rep=rep,
                 root_seed=config.root_seed,
-                candidate_risks=tuple(float(r) for r in cand_risks),
-                aggregate_risk=agg_risk,
-                erm_risk=erm_risk,
+                candidate_risks=tuple(cand_risks),
+                aggregate_risk=risk(aggregate_mixture(candidates, diag.weights).grid_values),
+                erm_risk=cand_risks[diag.erm_index],
                 weights=tuple(float(w) for w in diag.weights),
                 chosen_u=diag.chosen_u,
                 universal_risk=universal_risk,
@@ -174,7 +160,6 @@ def monte_carlo(config: MonteCarloConfig) -> list[ExperimentResult]:
                 l=diag.l,
                 j1=diag.j1,
                 rho=diag.rho,
-                wall_time=time.perf_counter() - t0,
             ))
     return results
 

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import DensitySample, RegressionSample
+from .coefficients import MIN_SAMPLE_SIZE, DensitySample, RegressionSample
 
 AUDIT_GRID_SIZE = 2 ** 16
 
@@ -125,8 +125,8 @@ def sample_density(
     """
     if not target.is_density:
         raise ValueError(f"target {target.name!r} is not a density")
-    if n < 16:
-        raise ValueError("n must be at least 16")
+    if n < MIN_SAMPLE_SIZE:
+        raise ValueError(f"n must be at least {MIN_SAMPLE_SIZE}, got {n}")
     rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed)
     out = np.empty(n)
     filled = 0
@@ -154,8 +154,8 @@ def sample_regression(
     or "uniform" (Y = f(X) + U[-delta, delta], requires f in [delta, 1-delta]
     on the audit grid so that Y stays in [0, 1]).
     """
-    if n < 16:
-        raise ValueError("n must be at least 16")
+    if n < MIN_SAMPLE_SIZE:
+        raise ValueError(f"n must be at least {MIN_SAMPLE_SIZE}, got {n}")
     grid = (np.arange(AUDIT_GRID_SIZE) + 0.5) / AUDIT_GRID_SIZE
     fvals = target(grid)
     if noise == "bernoulli":

@@ -188,16 +188,25 @@ def verify_ongle(
     xs = np.arange(-search_range, search_range + xy_grid_step / 2.0, xy_grid_step)
     checked = 0
     block = 512
+    # work arrays shared by every block, so that the scan allocates nothing per block
+    work = np.empty((4, block, len(xs)))
+    mask = np.empty((block, len(xs)), dtype=bool)
     for u in u_grid:
         transformed = apply_rule(rule, float(u), xs)
         min_term = rule.c1 * np.minimum(np.abs(xs), rule.c2 * u) ** 2
         for start in range(0, len(xs), block):
             sl = slice(start, start + block)
-            diff = xs[sl][:, None] - xs[None, :]
-            lhs = (transformed[sl][:, None] - xs[None, :]) ** 2
-            rhs = min_term[None, :] + rule.c1 * diff * diff * (np.abs(diff) >= u / 2.0)
+            diff, lhs, rhs, tmp = work[:, : len(xs[sl])]
+            np.subtract(xs[sl][:, None], xs, out=diff)
+            np.subtract(transformed[sl][:, None], xs, out=lhs)
+            lhs **= 2
+            # rhs = min_term + c1 * diff * diff * 1{|diff| >= u/2}, in that order
+            np.multiply(diff, rule.c1, out=rhs)
+            rhs *= diff
+            rhs *= np.greater_equal(np.abs(diff, out=tmp), u / 2.0, out=mask[: len(diff)])
+            rhs += min_term
             checked += lhs.size
-            bad = lhs > rhs * (1.0 + 1e-12)
+            bad = np.greater(lhs, np.multiply(rhs, 1.0 + 1e-12, out=tmp), out=mask[: len(diff)])
             if bad.any():
                 i, jj = np.argwhere(bad)[0]
                 return OngleReport(

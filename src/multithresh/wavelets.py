@@ -2,8 +2,9 @@
 
 Compactly supported father/mother pairs (Haar and the Daubechies family),
 evaluated pointwise through precomputed dyadic cascade tables with linear
-interpolation (Haar in closed form). Provides synthesis at arbitrary points,
-quadrature analysis, Parseval norms and Besov sequence-space seminorms.
+interpolation (Haar in closed form). Provides synthesis at arbitrary points
+and its adjoint, analysis of a weighted point set, which gives both the
+empirical coefficients and the quadrature analysis of known functions.
 
 Conventions:
   - the low-pass filter ``h`` sums to sqrt(2) and has unit l2 norm, so the
@@ -20,6 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SQRT2 = float(np.sqrt(2.0))
+
+# midpoint quadrature grid of risk integrals and analysis of known functions
+DEFAULT_GRID_SIZE = 2 ** 14
 
 MIN_CASCADE_DEPTH = 6
 MAX_CASCADE_DEPTH = 20
@@ -260,70 +264,44 @@ class WaveletExpansion:
     def levels(self) -> range:
         return range(self.tau, self.j_max + 1)
 
-    def copy(self) -> "WaveletExpansion":
-        return WaveletExpansion(
-            self.tau, self.j_max, self.alpha.copy(), [row.copy() for row in self.beta]
-        )
 
-    @staticmethod
-    def zeros(tau: int, j_max: int) -> "WaveletExpansion":
-        return WaveletExpansion(
-            tau, j_max,
-            np.zeros(1 << tau),
-            [np.zeros(1 << j) for j in range(tau, j_max + 1)],
-        )
+def _stencil(family: WaveletFamily, kind: str, j: int, x: np.ndarray):
+    """Yield (shift indices, generator values) of the translates meeting x.
+
+    A point meets only support_width translates per level, so synthesis and
+    its adjoint gather those shifts instead of looping over all 2^j of them.
+    """
+    two_j = 1 << j
+    t = two_j * np.mod(x, 1.0)
+    kb = np.floor(t).astype(np.int64)
+    frac = t - kb
+    for m in range(family.support_width):
+        yield np.mod(kb - m, two_j), _base_eval(family, kind, frac + m)
 
 
 def _level_synth(
     family: WaveletFamily, kind: str, j: int, coeffs: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
-    """Sum_k coeffs[k] * basis_{j,k}(x), vectorized over x.
-
-    Each point only meets support_width translates per level, so we gather
-    those shifts instead of looping over k.
-    """
-    W = family.support_width
-    two_j = 1 << j
-    t = two_j * np.mod(x, 1.0)
-    kb = np.floor(t).astype(np.int64)
-    frac = t - kb
-    out = np.zeros_like(t)
-    for m in range(W):
-        idx = np.mod(kb - m, two_j)
-        out += coeffs[idx] * _base_eval(family, kind, frac + m)
+    """Sum_k coeffs[k] * basis_{j,k}(x), vectorized over x."""
+    out = np.zeros(np.shape(x))
+    for idx, vals in _stencil(family, kind, j, x):
+        out += coeffs[idx] * vals
+        del idx, vals  # free this step's arrays before the stencil makes the next
     return 2.0 ** (j / 2.0) * out
 
 
 def _level_sums(
-    family: WaveletFamily, kind: str, j: int, x: np.ndarray,
-    weights: np.ndarray | None = None,
+    family: WaveletFamily, kind: str, j: int, x: np.ndarray, weights: np.ndarray | None
 ) -> np.ndarray:
     """Per-shift sums sum_i w_i * basis_{j,k}(x_i) for all k at level j."""
-    W = family.support_width
     two_j = 1 << j
-    t = two_j * np.mod(x, 1.0)
-    kb = np.floor(t).astype(np.int64)
-    frac = t - kb
     sums = np.zeros(two_j)
-    for m in range(W):
-        idx = np.mod(kb - m, two_j)
-        vals = _base_eval(family, kind, frac + m)
+    for idx, vals in _stencil(family, kind, j, x):
         if weights is not None:
             vals = vals * weights
         sums += np.bincount(idx, weights=vals, minlength=two_j)
+        del idx, vals  # free this step's arrays before the stencil makes the next
     return 2.0 ** (j / 2.0) * sums
-
-
-def synthesize(
-    family: WaveletFamily, expansion: WaveletExpansion, grid: np.ndarray
-) -> np.ndarray:
-    """Evaluate the wavelet series at every point of a sorted grid in [0, 1]."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("grid must be nonempty")
-    if np.any(np.diff(grid) < 0):
-        raise ValueError("grid must be sorted ascending")
-    return synthesize_at(family, expansion, grid)
 
 
 def synthesize_at(
@@ -337,8 +315,24 @@ def synthesize_at(
     return out
 
 
+def analyze_points(
+    family: WaveletFamily, x: np.ndarray, weights: np.ndarray | None,
+    j_max: int, n: int = 1,
+) -> WaveletExpansion:
+    """Coefficients (1/n) sum_i w_i phi/psi_{j,k}(x_i) for levels tau..j_max.
+
+    The adjoint of synthesis at the points x; ``weights`` None means all ones.
+    """
+    alpha = _level_sums(family, "scaling", family.tau, x, weights) / n
+    beta = [
+        _level_sums(family, "wavelet", j, x, weights) / n
+        for j in range(family.tau, j_max + 1)
+    ]
+    return WaveletExpansion(family.tau, j_max, alpha, beta)
+
+
 def analyze(
-    family: WaveletFamily, f, j_max: int, grid_size: int = 2 ** 14
+    family: WaveletFamily, f, j_max: int, grid_size: int = DEFAULT_GRID_SIZE
 ) -> WaveletExpansion:
     """Wavelet coefficients of a known function by midpoint quadrature.
 
@@ -353,46 +347,4 @@ def analyze(
     values = np.asarray(f(grid), dtype=float) if callable(f) else np.asarray(f, dtype=float)
     if values.shape != grid.shape:
         raise ValueError("values must match the midpoint grid")
-    w = values / grid_size
-    alpha = _level_sums(family, "scaling", family.tau, grid, w)
-    beta = [
-        _level_sums(family, "wavelet", j, grid, w)
-        for j in range(family.tau, j_max + 1)
-    ]
-    return WaveletExpansion(family.tau, j_max, alpha, beta)
-
-
-# ---------------------------------------------------------------------------
-# Norms
-# ---------------------------------------------------------------------------
-
-def parseval_norm(expansion: WaveletExpansion) -> float:
-    """l2 norm of the coefficients = L2([0,1]) norm of the synthesized series."""
-    total = float(np.sum(expansion.alpha ** 2))
-    for row in expansion.beta:
-        total += float(np.sum(row ** 2))
-    return float(np.sqrt(total))
-
-
-def besov_seminorm(expansion: WaveletExpansion, s: float, p: float, q: float) -> float:
-    """Besov sequence seminorm with the alpha row folded in at level tau - 1.
-
-    Computes [sum_j (2^{j(s + 1/2 - 1/p)} ||beta_j||_p)^q]^{1/q} over levels
-    tau-1..j_max, with max replacing the sum when p or q is infinite. Requires
-    s > 0 (callers should also keep s below the family's regularity).
-    """
-    if not (s > 0 and p >= 1 and q >= 1):
-        raise ValueError(f"invalid Besov parameters (s={s}, p={p}, q={q})")
-    level_terms = []
-    rows = [(expansion.tau - 1, expansion.alpha)]
-    rows += list(zip(expansion.levels(), expansion.beta))
-    for j, row in rows:
-        if p == np.inf:
-            lp = float(np.max(np.abs(row))) if len(row) else 0.0
-        else:
-            lp = float(np.sum(np.abs(row) ** p) ** (1.0 / p))
-        level_terms.append(2.0 ** (j * (s + 0.5 - 1.0 / p)) * lp)
-    terms = np.asarray(level_terms)
-    if q == np.inf:
-        return float(terms.max())
-    return float(np.sum(terms ** q) ** (1.0 / q))
+    return analyze_points(family, grid, values / grid_size, j_max)

@@ -13,10 +13,8 @@ from multithresh.aggregation import (
     aggregate_mixture,
     beta_constants,
     candidate_grid,
-    clip,
     empirical_risk,
     erm_select,
-    gamma_residual,
     multi_threshold_candidates,
     multi_threshold_estimate,
     split_sample,
@@ -36,27 +34,20 @@ def haar():
     return build_family("Haar", 12)
 
 
-def test_clip_values():
-    assert clip(-0.2, 0.0, 1.0) == 0.0
-    assert clip(0.5, 0.0, 1.0) == 0.5
-    assert clip(3.0, 0.0, 1.0) == 1.0
-    with pytest.raises(ValueError):
-        clip(0.5, 1.0, 0.0)
-
-
 def test_split_sample_values():
     assert split_sample(1024) == (876, 148)
-    assert split_sample(16) == (10, 6)
-    with pytest.raises(ValueError):
-        split_sample(15)
+    # 62 is the smallest n whose learning part holds 16 observations
+    assert split_sample(62) == (46, 16)
+    with pytest.raises(ValueError, match="n = 61 .* at least 62"):
+        split_sample(61)
 
 
-@given(n=st.integers(min_value=16, max_value=10 ** 6))
+@given(n=st.integers(min_value=62, max_value=10 ** 6))
 def test_split_sample_partitions(n):
     m, l = split_sample(n)
     assert m + l == n
     assert l == math.ceil(n / math.log(n))
-    assert m >= 4 and l >= 4
+    assert m >= 16 and l >= 16
 
 
 def test_loss_spec_validation():
@@ -156,20 +147,6 @@ def test_beta_constants_monotone_in_c():
     b1a, b2a = beta_constants(4.0, 1.0)
     b1b, b2b = beta_constants(16.0, 1.0)
     assert b1b < b1a and b2b < b2a
-
-
-def test_gamma_residual_branches():
-    # zero gap always takes the small-gap branch
-    g0 = gamma_residual(1024, 2, 1.0, 0.0, 16.0, 1.0)
-    assert g0 == pytest.approx(LN2 / ((1 / 18432) * 1024), rel=1e-12)
-    assert g0 == pytest.approx(12.476649250079016, rel=1e-12)
-    # large gap takes the sqrt branch
-    beta1, _ = beta_constants(16.0, 1.0)
-    big = 2 * LN2 / (beta1 * 1024)
-    g1 = gamma_residual(1024, 2, 1.0, big, 16.0, 1.0)
-    assert g1 == pytest.approx(math.sqrt(big * LN2 / (beta1 * 1024)), rel=1e-12)
-    with pytest.raises(ValueError):
-        gamma_residual(1024, 1, 1.0, 0.0, 16.0, 1.0)
 
 
 def test_theory_constants_models():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from multithresh.cli import (
+    DataError,
     main,
     parse_config_file,
     read_sample_file,
@@ -73,6 +74,52 @@ def test_estimate_per_candidate_columns(tmp_path):
     assert any(c.startswith("candidate_u") for c in header)
 
 
+@pytest.mark.parametrize("model,line", [("density", "nan"), ("regression", "0.5,nan"),
+                                        ("regression", "nan,1")])
+@pytest.mark.parametrize("position", [0, 299])  # first line trains, last line learns
+def test_estimate_rejects_nan(tmp_path, capsys, model, line, position):
+    raw = tmp_path / "sample.txt"
+    run(["simulate", "--model", model, "--target", "triangle", "--n", 300,
+         "--seed", 1, "--out", raw])
+    lines = raw.read_text().splitlines()
+    lines[position] = line
+    raw.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "est.csv"
+    code = run(["estimate", "--model", model, "--input", raw, "--out", out])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "data error:" in err and "finite and in [0, 1]" in err
+    assert not out.exists()
+
+
+def test_estimate_sample_too_small_for_split(tmp_path, capsys):
+    raw = tmp_path / "sample.txt"
+    assert run(["simulate", "--n", 40, "--out", raw]) == 0
+    capsys.readouterr()
+    assert run(["estimate", "--input", raw, "--out", tmp_path / "est.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "data error:" in err and "n = 40" in err and "at least 62" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--family", "Foo", "--input", "in.txt", "--out", "est.csv"],
+    ["estimate", "--config", "wiggle.cfg", "--input", "in.txt", "--out", "est.csv"],
+    ["check", "moment", "--family", "Foo"],
+    ["simulate", "--n", 8, "--out", "s.txt"],
+    ["simulate", "--n", "64,128", "--out", "s.txt"],
+    ["rates", "--n", "20,30,40", "--reps", 1, "--out", "r.csv"],
+    ["rates", "--config", "wiggle.cfg", "--n", "64,128,256", "--out", "r.csv"],
+], ids=["estimate-family", "estimate-config-rule", "check-moment-family", "simulate-n-8",
+        "simulate-n-list", "rates-n-below-split", "rates-config-rule"])
+def test_config_errors_exit_1(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "wiggle.cfg").write_text("rule = wiggle\n")
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 def test_estimate_malformed_line_reports_lineno(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0.5\nabc\n0.25\n")
@@ -122,6 +169,7 @@ def test_rows_csv_roundtrip(tmp_path):
          "--reps", 3, "--seed", 2, "--rho", "2.0", "--grid-size", 2048,
          "--out", out])
     results = rows_to_results(str(out))
+    assert all(r.universal_risk is None for r in results)  # empty column
     cfg = MonteCarloConfig(model="density", target="bump", ns=(128, 256, 512),
                            reps=3, root_seed=2, rho=2.0, grid_size=2048)
     direct = monte_carlo(cfg)
@@ -132,6 +180,13 @@ def test_rows_csv_roundtrip(tmp_path):
         assert r.aggregate_risk == pytest.approx(d.aggregate_risk, rel=1e-15)
         assert np.allclose(r.candidate_risks, d.candidate_risks, rtol=1e-15)
         assert np.allclose(r.weights, d.weights, rtol=1e-15)
+    # a malformed row is reported with its line number
+    lines = out.read_text().splitlines()
+    for bad in (lines[2].replace(",0,", ",zero,", 1), lines[2].rsplit(",", 2)[0]):
+        broken = tmp_path / "broken.csv"
+        broken.write_text("\n".join(lines[:2] + [bad] + lines[3:]) + "\n")
+        with pytest.raises(DataError, match="broken.csv:3: malformed row"):
+            rows_to_results(str(broken))
 
 
 def test_check_constants(capsys):
@@ -153,7 +208,9 @@ def test_check_oracle_from_csv(tmp_path, capsys):
          "--reps", 3, "--seed", 8, "--rho", "2.0", "--grid-size", 2048,
          "--out", out])
     assert run(["check", "oracle", "--input", out]) == 0
-    text = capsys.readouterr().out
+    captured = capsys.readouterr()
+    text = captured.out
+    assert "kept n = 1024, dropped n = 256, 512" in captured.err
     assert "LHS (mean aggregate risk)" in text
     assert "bound satisfied" in text
     # replay matches a direct computation on the same rows (largest n kept)

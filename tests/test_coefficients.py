@@ -41,6 +41,14 @@ def test_sample_validation():
         RegressionSample(np.full(16, 0.5), np.full(16, 1.5))
     with pytest.raises(ValueError):
         RegressionSample(np.full(16, 0.5), np.full(17, 0.5))
+    # NaN fails the range check too
+    nan_at_end = np.concatenate([np.full(19, 0.5), [np.nan]])
+    with pytest.raises(ValueError, match="finite and in"):
+        DensitySample(nan_at_end)
+    with pytest.raises(ValueError, match="finite and in"):
+        RegressionSample(np.full(20, 0.5), nan_at_end)
+    with pytest.raises(ValueError, match="finite and in"):
+        RegressionSample(nan_at_end, np.full(20, 0.5))
 
 
 # ---------------------------------------------------------------------------

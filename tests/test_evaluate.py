@@ -12,7 +12,6 @@ from multithresh.evaluate import (
     check_deviation,
     check_moment,
     mean_risk_by_n,
-    mise,
     monte_carlo,
     oracle_report,
     rate_slope,
@@ -28,20 +27,8 @@ def haar():
 
 
 # ---------------------------------------------------------------------------
-# mise and rate_slope
+# rate_slope
 # ---------------------------------------------------------------------------
-
-def test_mise_examples():
-    uniform = get_target("uniform", "density")
-    zero = lambda x: np.zeros_like(x)
-    assert mise(zero, uniform, 2 ** 12) == pytest.approx(1.0)
-    assert mise(uniform, uniform, 2 ** 12) == pytest.approx(0.0, abs=1e-15)
-    # closed form: integral of (2 - |4x - 2|)^2 over [0, 1] is 4/3
-    triangle = get_target("triangle", "density")
-    assert mise(zero, triangle, 2 ** 14) == pytest.approx(4.0 / 3.0, abs=1e-6)
-    with pytest.raises(ValueError):
-        mise(zero, uniform, 2 ** 9)
-
 
 def test_rate_slope_exact_power_laws():
     ns = np.array([256, 512, 1024, 2048])
@@ -97,7 +84,6 @@ def test_monte_carlo_rows_populated():
         assert r.universal_risk is not None and r.universal_risk >= 0.0
         assert abs(sum(r.weights) - 1.0) < 1e-12
         assert r.m + r.l == r.n
-        assert r.wall_time > 0.0
 
 
 def test_monte_carlo_aggregate_beats_worst_candidate():
@@ -116,6 +102,10 @@ def test_monte_carlo_config_validation():
         MonteCarloConfig(model="density", target="uniform", ns=(256,), reps=0)
     with pytest.raises(ValueError):
         MonteCarloConfig(model="density", target="uniform", ns=(8,), reps=1)
+    # the train/learn split needs n >= 62
+    with pytest.raises(ValueError, match="at least 62"):
+        MonteCarloConfig(model="density", target="uniform", ns=(61, 128), reps=1)
+    MonteCarloConfig(model="density", target="uniform", ns=(62,), reps=1)
 
 
 def test_mean_risk_by_n():
@@ -203,7 +193,7 @@ def synthetic_results(agg_risks, cand_matrix, model="regression", n=1024,
             model=model, target="bump", n=n, rep=rep, root_seed=0,
             candidate_risks=tuple(cands), aggregate_risk=float(agg),
             erm_risk=float(min(cands)), weights=tuple(w), chosen_u=0,
-            universal_risk=None, m=n - l, l=l, j1=8, rho=1.0, wall_time=0.0,
+            universal_risk=None, m=n - l, l=l, j1=8, rho=1.0,
         ))
     return rows
 
