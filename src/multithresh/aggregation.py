@@ -21,6 +21,7 @@ from .coefficients import (
     MIN_SAMPLE_SIZE,
     DensitySample,
     RegressionSample,
+    check_model_bound,
     density_coeffs,
     j1_level,
     loss_difference_bound,
@@ -51,67 +52,45 @@ def split_sample(n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Quadratic loss of one of the two models, with its clip range.
+    """Quadratic loss of one of the two models, with its clip range [0, B].
 
-    Regression fixes the range to [0, 1]; the density loss carries the
-    density bound B (= clip ceiling) and the quadrature grid size used for
-    the integral term.
+    The density loss carries the density bound B (= clip ceiling); the
+    regression model fixes B = 1. ``grid_size`` is the midpoint quadrature
+    grid on which candidates are represented and the density loss's
+    integral term is computed.
     """
 
-    kind: str
-    clip_lo: float
-    clip_hi: float
-    B: float
+    model: str
+    B: float = 1.0
     grid_size: int = DEFAULT_GRID_SIZE
 
     def __post_init__(self) -> None:
-        if self.kind not in ("regression_quadratic", "density_quadratic"):
-            raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.clip_lo >= self.clip_hi:
-            raise ValueError("clip range must be nonempty")
-        if self.kind == "regression_quadratic" and (self.clip_lo, self.clip_hi) != (0.0, 1.0):
-            raise ValueError("regression loss fixes the clip range to [0, 1]")
-        if self.kind == "density_quadratic":
-            if self.B < 1.0:
-                raise ValueError("density bound B must be >= 1")
-            if (self.clip_lo, self.clip_hi) != (0.0, self.B):
-                raise ValueError("density loss fixes the clip range to [0, B]")
+        check_model_bound(self.model, self.B)
         if self.grid_size < 2:
             raise ValueError("grid_size must be at least 2")
 
-    @property
-    def model(self) -> str:
-        return "regression" if self.kind == "regression_quadratic" else "density"
-
     @staticmethod
     def regression(grid_size: int = DEFAULT_GRID_SIZE) -> "LossSpec":
-        return LossSpec("regression_quadratic", 0.0, 1.0, 1.0, grid_size)
+        return LossSpec("regression", 1.0, grid_size)
 
     @staticmethod
     def density(B: float, grid_size: int = DEFAULT_GRID_SIZE) -> "LossSpec":
-        return LossSpec("density_quadratic", 0.0, float(B), float(B), grid_size)
+        return LossSpec("density", float(B), grid_size)
 
 
-def empirical_risk(loss: LossSpec, candidate, data) -> float:
-    """Empirical risk of an evaluable candidate on a learning subsample.
+def empirical_risk(loss: LossSpec, grid_values: np.ndarray, learn_values: np.ndarray,
+                   learn: DensitySample | RegressionSample) -> float:
+    """Empirical risk of a candidate from its clipped values on a learning subsample.
 
+    ``grid_values`` are the candidate's values on the quadrature grid and
+    ``learn_values`` its values at the learning points ``learn.x``.
     Regression: mean squared prediction error. Density: integral of the
-    squared candidate (midpoint quadrature, or the candidate's cached value)
-    minus twice the sample mean of the candidate.
+    squared candidate (midpoint quadrature) minus twice the sample mean of
+    the candidate.
     """
-    if loss.kind == "regression_quadratic":
-        x, y = data.x, data.y
-        if len(x) == 0:
-            raise ValueError("empty learning subsample")
-        return float(np.mean((y - np.asarray(candidate(x), dtype=float)) ** 2))
-    x = data.x if hasattr(data, "x") else np.asarray(data, dtype=float)
-    if len(x) == 0:
-        raise ValueError("empty learning subsample")
-    integral = getattr(candidate, "integral_sq", None)
-    if integral is None:
-        vals = np.asarray(candidate(midpoint_grid(loss.grid_size)), dtype=float)
-        integral = float(np.mean(vals ** 2))
-    return float(integral - 2.0 * np.mean(np.asarray(candidate(x), dtype=float)))
+    if loss.model == "regression":
+        return float(np.mean((learn.y - learn_values) ** 2))
+    return float(np.mean(grid_values ** 2) - 2.0 * np.mean(learn_values))
 
 
 def aew_weights(risks, sample_size: int) -> np.ndarray:
@@ -141,44 +120,23 @@ def erm_select(risks) -> int:
 
 @dataclass
 class CandidateEstimator:
-    """A clipped thresholded estimator with cached quadrature values."""
+    """A clipped thresholded estimator, represented by its quadrature-grid values.
+
+    Values off the grid are ``np.clip(synthesize_at(family, expansion, x), 0, B)``.
+    """
 
     u: int
     plan: ThresholdPlan
     expansion: WaveletExpansion
-    family: WaveletFamily
-    clip_lo: float
-    clip_hi: float
     grid_values: np.ndarray = field(repr=False)
-    integral_sq: float = 0.0
-
-    def __call__(self, x) -> np.ndarray:
-        raw = synthesize_at(self.family, self.expansion, np.asarray(x, dtype=float))
-        return np.minimum(np.maximum(raw, self.clip_lo), self.clip_hi)
 
 
-def _build_candidate(
-    u: int,
-    raw: WaveletExpansion,
-    plan: ThresholdPlan,
-    rule: ThresholdRule,
-    family: WaveletFamily,
-    loss: LossSpec,
-    grid: np.ndarray,
-) -> CandidateEstimator:
-    thresholded = threshold_expansion(raw, plan, rule)
-    vals = synthesize_at(family, thresholded, grid)
-    np.clip(vals, loss.clip_lo, loss.clip_hi, out=vals)
-    return CandidateEstimator(
-        u=u,
-        plan=plan,
-        expansion=thresholded,
-        family=family,
-        clip_lo=loss.clip_lo,
-        clip_hi=loss.clip_hi,
-        grid_values=vals,
-        integral_sq=float(np.mean(vals ** 2)),
-    )
+def _clipped_values(family: WaveletFamily, expansion: WaveletExpansion, x: np.ndarray,
+                    loss: LossSpec) -> np.ndarray:
+    """The expansion synthesized at the points x and clipped to [0, B]."""
+    # in place: a second grid-sized array per candidate costs page faults
+    values = synthesize_at(family, expansion, x)
+    return np.clip(values, 0.0, loss.B, out=values)
 
 
 @dataclass
@@ -188,14 +146,6 @@ class MixtureEstimator:
     candidates: list[CandidateEstimator]
     weights: np.ndarray
     grid_values: np.ndarray = field(repr=False)
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for w, cand in zip(self.weights, self.candidates):
-            if w != 0.0:
-                out += w * cand(x)
-        return out
 
 
 def aggregate_mixture(candidates, weights) -> MixtureEstimator:
@@ -242,6 +192,16 @@ def candidate_grid(n: int, j1: int) -> tuple[int, ...]:
     return tuple(range(0, min(math.ceil(math.log2(n)), j1) + 1))
 
 
+def _model_coeffs(data: DensitySample | RegressionSample, family: WaveletFamily, j1: int,
+                  loss: LossSpec) -> WaveletExpansion:
+    """Empirical coefficients up to level j1 of a sample of the loss's model."""
+    if isinstance(data, DensitySample) != (loss.model == "density"):
+        raise ValueError(f"sample type does not match loss model {loss.model!r}")
+    if loss.model == "density":
+        return density_coeffs(data, family, j1)
+    return regression_coeffs(data, family, j1)
+
+
 def multi_threshold_candidates(
     data: DensitySample | RegressionSample,
     family: WaveletFamily,
@@ -259,12 +219,9 @@ def multi_threshold_candidates(
     and the empirical-risk-minimizing index, so either aggregation scheme can
     be assembled from the same candidates.
     """
-    is_density = isinstance(data, DensitySample)
-    if is_density != (loss.model == "density"):
-        raise ValueError(f"sample type does not match loss model {loss.model!r}")
     n = data.n
     if rho is None:
-        rho = min_rho(loss.B if is_density else 1.0, family.psi_sup, loss.model)
+        rho = min_rho(loss.B, family.psi_sup, loss.model)
     if rho <= 0.0:
         raise ValueError("rho must be positive")
 
@@ -277,18 +234,20 @@ def multi_threshold_candidates(
     train = data.subset(slice(0, m))
     learn = data.subset(slice(m, n))
     j1 = j1_level(n)
-
-    raw = density_coeffs(train, family, j1) if is_density \
-        else regression_coeffs(train, family, j1)
+    raw = _model_coeffs(train, family, j1, loss)
 
     grid = midpoint_grid(loss.grid_size)
     u_grid = candidate_grid(n, j1)
-    candidates = []
+    candidates, risks = [], []
     for u in u_grid:
         plan = make_plan(rho, u, family.tau, j1, m)
-        candidates.append(_build_candidate(u, raw, plan, rule, family, loss, grid))
+        expansion = threshold_expansion(raw, plan, rule)
+        grid_values = _clipped_values(family, expansion, grid, loss)
+        candidates.append(CandidateEstimator(u, plan, expansion, grid_values))
+        risks.append(empirical_risk(loss, grid_values,
+                                    _clipped_values(family, expansion, learn.x, loss), learn))
 
-    risks = np.array([empirical_risk(loss, c, learn) for c in candidates])
+    risks = np.array(risks)
     weights = aew_weights(risks, l)
     erm_index = erm_select(risks)
     diag = AggregationDiagnostics(
@@ -336,17 +295,13 @@ def universal_threshold_estimate(
     c: float = 1.0,
 ) -> CandidateEstimator:
     """Single-candidate baseline: flat threshold c sqrt(log n / n), full sample."""
-    is_density = isinstance(data, DensitySample)
-    if is_density != (loss.model == "density"):
-        raise ValueError(f"sample type does not match loss model {loss.model!r}")
     n = data.n
     j1 = j1_level(n)
-    raw = density_coeffs(data, family, j1) if is_density \
-        else regression_coeffs(data, family, j1)
-    threshold = c * math.sqrt(math.log(n) / n)
-    plan = flat_plan(threshold, family.tau, j1, n)
-    return _build_candidate(family.tau - 1, raw, plan, rule, family, loss,
-                            midpoint_grid(loss.grid_size))
+    raw = _model_coeffs(data, family, j1, loss)
+    plan = flat_plan(c * math.sqrt(math.log(n) / n), family.tau, j1, n)
+    expansion = threshold_expansion(raw, plan, rule)
+    grid_values = _clipped_values(family, expansion, midpoint_grid(loss.grid_size), loss)
+    return CandidateEstimator(family.tau - 1, plan, expansion, grid_values)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +310,9 @@ def universal_threshold_estimate(
 
 def beta_constants(c: float, K: float) -> tuple[float, float]:
     """The two residual constants, each the minimum of its four branch terms."""
-    if c <= 0.0 or K < 1.0:
-        raise ValueError(f"need c > 0 and K >= 1, got c={c}, K={K}")
+    # written positively so that NaN fails it too
+    if not (0.0 < c < math.inf and 1.0 <= K < math.inf):
+        raise ValueError(f"need finite c > 0 and K >= 1, got c={c}, K={K}")
     ln2 = math.log(2.0)
     beta1 = min(
         ln2 / (96.0 * c * K),

@@ -43,7 +43,7 @@ from .evaluate import (
     oracle_report,
     rate_slope,
 )
-from .simulate import TargetFunction, get_target, sample_density, sample_regression
+from .simulate import TargetFunction, check_noise, get_target, sample_density, sample_regression
 from .thresholding import RULE_KINDS, ThresholdRule, verify_ongle
 from .wavelets import DEFAULT_GRID_SIZE, WaveletFamily, build_family, midpoint_grid
 
@@ -118,11 +118,11 @@ def _cast(text: str, cast: type):
     return cast(text)
 
 
-def _parse_n_list(text: str) -> tuple[int, ...]:
+def _parse_list(text: str, cast: type) -> tuple:
     try:
-        return tuple(int(v) for v in str(text).split(","))
+        return tuple(cast(v) for v in str(text).split(","))
     except ValueError as exc:
-        raise ValueError(f"invalid sample-size list {text!r}") from exc
+        raise ValueError(f"invalid comma list of {cast.__name__} values: {text!r}") from exc
 
 
 def _parse_rho(text: str) -> float | None:
@@ -187,15 +187,17 @@ _COMMON_KEYS = {
     "seed": int, "grid_size": int, "noise": str, "B": float,
 }
 _RATES_KEYS = {**_COMMON_KEYS, "universal": bool, "universal_c": float}
-# the checks always run in the density model and take the rule's constants
+# the checks always run in the density model and take the rule's constants, the
+# margin and loss-difference constants, the deviation sizes and the oracle epsilon
 _CHECK_KEYS = {**{k: v for k, v in _COMMON_KEYS.items() if k != "model"},
-               "c1": float, "c2": float}
+               "c1": float, "c2": float, "c": float, "K": float, "a": str, "epsilon": float}
 
 _DEFAULTS = {
     "model": "density", "target": "uniform", "family": "Haar", "cascade_depth": 12,
     "rule": "hard", "scheme": "AEW", "rho": "theory", "n": "1024", "reps": 100,
     "seed": 42, "grid_size": DEFAULT_GRID_SIZE, "noise": "bernoulli", "B": 2.0,
     "c1": None, "c2": None, "universal": False, "universal_c": 1.0,
+    "c": 16.0, "K": 1.0, "a": "1,2,3,4", "epsilon": 1.0,
 }
 
 
@@ -225,6 +227,8 @@ def _setup(args, keys=_COMMON_KEYS, monte_carlo: bool = False, **defaults) -> Se
 
     A flag wins over the config file, which wins over ``defaults`` and then
     ``_DEFAULTS``. ``monte_carlo`` also builds the rates experiment config.
+    The subcommands that sample regression data check the noise against
+    the target, and the check keys are validated here too.
     This is the only place where a ValueError becomes a ConfigError, so
     every invalid config value exits 1 with a message.
     """
@@ -235,13 +239,23 @@ def _setup(args, keys=_COMMON_KEYS, monte_carlo: bool = False, **defaults) -> Se
             raise ValueError(f"unknown model {model!r}")
         if scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-        ns = _parse_n_list(cfg["n"])
+        ns = _parse_list(cfg["n"], int)
         if min(ns) < MIN_SAMPLE_SIZE:
             raise ValueError(f"sample sizes must be at least {MIN_SAMPLE_SIZE}, got {min(ns)}")
         rho = _parse_rho(cfg["rho"])
+        target = get_target(cfg["target"], model)
+        if args.command in ("simulate", "rates") and model == "regression":
+            check_noise(target, cfg["noise"])
+        if "epsilon" in keys:
+            beta_constants(cfg["c"], cfg["K"])  # rejects c <= 0 and K < 1
+            cfg["a"] = _parse_list(cfg["a"], float)
+            if not all(0.0 <= a < math.inf for a in cfg["a"]):
+                raise ValueError(f"deviation sizes a must be finite and >= 0, got {cfg['a']}")
+            if not 0.0 < cfg["epsilon"] < math.inf:
+                raise ValueError("epsilon must be positive and finite")
         return Setup(
             cfg=cfg,
-            target=get_target(cfg["target"], model),
+            target=target,
             family=build_family(cfg["family"], cfg["cascade_depth"]),
             rule=ThresholdRule(cfg["rule"], cfg["c1"], cfg["c2"]),
             loss=LossSpec.regression(grid_size) if model == "regression"
@@ -413,8 +427,8 @@ def _verdict(passed: bool, failure: str, success: str = "pass") -> int:
 
 
 def _check_constants(args) -> int:
-    beta1, beta2 = beta_constants(16.0 if args.c is None else args.c,
-                                  1.0 if args.K is None else args.K)
+    cfg = _setup(args, _CHECK_KEYS).cfg
+    beta1, beta2 = beta_constants(cfg["c"], cfg["K"])
     print(f"beta1 = {_fmt(beta1)}")
     print(f"beta2 = {_fmt(beta2)}")
     return 0
@@ -444,8 +458,7 @@ def _check_deviation(args) -> int:
     setup = _setup(args, _CHECK_KEYS, reps=100000)
     rho = setup.rho if setup.rho is not None \
         else min_rho(max(1.0, setup.target.bound), setup.family.psi_sup, "density")
-    a_values = tuple(float(a) for a in (args.a or "1,2,3,4").split(","))
-    report = check_deviation(setup.family, setup.target, rho, a_values, setup.n,
+    report = check_deviation(setup.family, setup.target, rho, setup.cfg["a"], setup.n,
                              setup.cfg["reps"], setup.cfg["seed"])
     for a, f, b, t in zip(report.a_values, report.frequencies,
                           report.bounds, report.tolerances):
@@ -454,6 +467,7 @@ def _check_deviation(args) -> int:
 
 
 def _check_oracle(args) -> int:
+    epsilon = _setup(args, _CHECK_KEYS).cfg["epsilon"]
     if not args.input:
         raise ConfigError("check oracle requires --input rows.csv")
     results = rows_to_results(args.input)
@@ -462,10 +476,14 @@ def _check_oracle(args) -> int:
         print(f"check oracle: kept n = {ns[-1]}, dropped n = "
               + ", ".join(str(n) for n in ns[:-1]), file=sys.stderr)
         results = [r for r in results if r.n == ns[-1]]
-    model = results[0].model
-    target = get_target(results[0].target, model)
-    constants = theory_constants(model, max(1.0, target.bound))
-    report = oracle_report(results, constants, float(args.epsilon or 1.0))
+    # epsilon is validated, so any ValueError here comes from the rows
+    try:
+        model = results[0].model
+        target = get_target(results[0].target, model)
+        constants = theory_constants(model, max(1.0, target.bound))
+        report = oracle_report(results, constants, epsilon)
+    except ValueError as exc:
+        raise DataError(f"{args.input}: {exc}") from exc
     print(f"model = {report.model}, target = {report.target}, n = {report.n}, "
           f"reps = {report.n_reps}, M = {report.M}, l = {report.l}")
     print(f"LHS (mean aggregate risk)     = {_fmt(report.lhs)}")

@@ -115,14 +115,15 @@ def regression_coeffs(
     return analyze_points(family, sample.x, sample.y, j1, sample.n)
 
 
-def _check_model_bound(model: str, B: float) -> None:
-    """The density model needs a bound B >= 1; the regression model fixes B = 1."""
+def check_model_bound(model: str, B: float) -> None:
+    """The density model needs a finite bound B >= 1; the regression model fixes B = 1."""
     if model not in ("density", "regression"):
         raise ValueError(f"model must be 'density' or 'regression', got {model!r}")
     if model == "regression" and B != 1.0:
         raise ValueError("the regression model fixes B = 1")
-    if B < 1.0:
-        raise ValueError(f"density bound B must be >= 1, got {B}")
+    # written positively so that NaN fails it too
+    if not 1.0 <= B < math.inf:
+        raise ValueError(f"density bound B must be finite and >= 1, got {B}")
 
 
 def min_rho(B: float, psi_sup: float, model: str) -> float:
@@ -133,7 +134,7 @@ def min_rho(B: float, psi_sup: float, model: str) -> float:
     rho^2 - a rho - b with a = 4 log(2) (8/(3 sqrt 2))(psi_sup + B) and
     b = 32 log(2) B.
     """
-    _check_model_bound(model, B)
+    check_model_bound(model, B)
     ln2 = math.log(2.0)
     a = 4.0 * ln2 * (8.0 / (3.0 * math.sqrt(2.0))) * (psi_sup + B)
     b = 4.0 * ln2 * 8.0 * B
@@ -150,11 +151,11 @@ def loss_difference_bound(model: str, B: float = 1.0) -> float:
     Regression: differences of squares of [0, 1] quantities, K = 1. Density
     quadratic loss on functions clipped to [0, B]: K = B^2 + 2B.
     """
-    _check_model_bound(model, B)
+    check_model_bound(model, B)
     return 1.0 if model == "regression" else B * B + 2.0 * B
 
 
 def margin_constant(model: str, B: float = 1.0) -> float:
     """Margin-assumption constant c (margin exponent 1): 16 B^2, with B = 1 in regression."""
-    _check_model_bound(model, B)
+    check_model_bound(model, B)
     return 16.0 * B * B

@@ -141,6 +141,25 @@ def sample_density(
     return DensitySample(out)
 
 
+def check_noise(target: TargetFunction, noise: str, delta: float = 0.1) -> None:
+    """Check that the noise keeps the responses Y of the target in [0, 1].
+
+    ``noise`` is "bernoulli" (Y | X ~ Bernoulli(f(X)), requires f in [0, 1])
+    or "uniform" (Y = f(X) + U[-delta, delta], requires f in [delta, 1-delta]),
+    each checked on the audit grid.
+    """
+    if noise == "bernoulli":
+        lo, hi = 0.0, 1.0
+    elif noise == "uniform":
+        lo, hi = delta, 1.0 - delta
+    else:
+        raise ValueError(f"unknown noise kind {noise!r}")
+    fvals = target((np.arange(AUDIT_GRID_SIZE) + 0.5) / AUDIT_GRID_SIZE)
+    if np.any(fvals < lo) or np.any(fvals > hi):
+        raise ValueError(f"{noise} noise requires target values in [{lo}, {hi}]; "
+                         f"{target.name!r} leaves that range")
+
+
 def sample_regression(
     target: TargetFunction,
     n: int,
@@ -148,26 +167,10 @@ def sample_regression(
     seed: int | np.random.Generator,
     delta: float = 0.1,
 ) -> RegressionSample:
-    """n pairs with uniform design and mean-zero bounded noise.
-
-    ``noise`` is "bernoulli" (Y | X ~ Bernoulli(f(X)), requires f in [0, 1])
-    or "uniform" (Y = f(X) + U[-delta, delta], requires f in [delta, 1-delta]
-    on the audit grid so that Y stays in [0, 1]).
-    """
+    """n pairs with uniform design and mean-zero bounded noise (see ``check_noise``)."""
     if n < MIN_SAMPLE_SIZE:
         raise ValueError(f"n must be at least {MIN_SAMPLE_SIZE}, got {n}")
-    grid = (np.arange(AUDIT_GRID_SIZE) + 0.5) / AUDIT_GRID_SIZE
-    fvals = target(grid)
-    if noise == "bernoulli":
-        if np.any(fvals < 0.0) or np.any(fvals > 1.0):
-            raise ValueError("bernoulli noise requires values in [0, 1]")
-    elif noise == "uniform":
-        if np.any(fvals < delta) or np.any(fvals > 1.0 - delta):
-            raise ValueError(
-                f"uniform({delta}) noise requires values in [{delta}, {1.0 - delta}]"
-            )
-    else:
-        raise ValueError(f"unknown noise kind {noise!r}")
+    check_noise(target, noise, delta)
     rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed)
     x = rng.uniform(size=n)
     mean = target(x)

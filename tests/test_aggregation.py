@@ -1,5 +1,7 @@
 """Losses, weights, candidate construction, and the aggregation pipeline."""
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -21,10 +23,10 @@ from multithresh.aggregation import (
     theory_constants,
     universal_threshold_estimate,
 )
-from multithresh.coefficients import DensitySample, RegressionSample
+from multithresh.coefficients import DensitySample, RegressionSample, min_rho
 from multithresh.simulate import get_target, sample_density, sample_regression
-from multithresh.thresholding import ThresholdRule
-from multithresh.wavelets import build_family, midpoint_grid
+from multithresh.thresholding import RULE_KINDS, ThresholdRule
+from multithresh.wavelets import SUPPORTED_FAMILIES, build_family, midpoint_grid, synthesize_at
 
 LN2 = math.log(2.0)
 
@@ -51,30 +53,38 @@ def test_split_sample_partitions(n):
 
 
 def test_loss_spec_validation():
-    LossSpec.regression()
-    LossSpec.density(2.0)
-    with pytest.raises(ValueError):
-        LossSpec("regression_quadratic", 0.0, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        LossSpec.density(0.5)
-    with pytest.raises(ValueError):
-        LossSpec("huber", 0.0, 1.0, 1.0)
+    assert LossSpec.regression() == LossSpec("regression", 1.0)
+    assert LossSpec.density(2.0).B == 2.0
+    assert [f.name for f in dataclasses.fields(LossSpec)] == ["model", "B", "grid_size"]
+    with pytest.raises(ValueError, match="fixes B = 1"):
+        LossSpec("regression", 2.0)
+    for B in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="density bound"):
+            LossSpec.density(B)
+    with pytest.raises(ValueError, match="model must be"):
+        LossSpec("huber")
+    with pytest.raises(ValueError, match="grid_size"):
+        LossSpec.regression(1)
 
 
 def test_empirical_risk_examples():
     reg = LossSpec.regression(2 ** 10)
+    grid = midpoint_grid(2 ** 10)
     data = RegressionSample(np.full(16, 0.5), np.concatenate([[1.0], np.ones(15)]))
-    assert empirical_risk(reg, lambda x: np.zeros_like(x), data) == pytest.approx(1.0)
+    assert empirical_risk(reg, np.zeros_like(grid), np.zeros(16), data) == pytest.approx(1.0)
 
     den = LossSpec.density(1.0, 2 ** 10)
     sample = DensitySample(np.linspace(0.1, 0.9, 16))
-    assert empirical_risk(den, lambda x: np.ones_like(x), sample) == pytest.approx(-1.0)
+    assert empirical_risk(den, np.ones_like(grid), np.ones(16), sample) == pytest.approx(-1.0)
+    # the integral term is the mean of the squared grid values
+    assert empirical_risk(den, np.full_like(grid, 2.0), np.ones(16), sample) \
+        == pytest.approx(2.0)
 
     # noiseless regression at the truth has zero risk
     xs = np.linspace(0.05, 0.95, 16)
     f = lambda x: 0.25 + 0.5 * x
     noiseless = RegressionSample(xs, f(xs))
-    assert empirical_risk(reg, f, noiseless) == pytest.approx(0.0, abs=1e-15)
+    assert empirical_risk(reg, f(grid), f(xs), noiseless) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_aew_weights_values():
@@ -174,8 +184,8 @@ def test_aggregate_mixture_point_mass(haar):
     point[0] = 1.0
     mix = aggregate_mixture(cands, point)
     np.testing.assert_array_equal(mix.grid_values, cands[0].grid_values)
-    x = np.array([0.1, 0.5, 0.9])
-    np.testing.assert_allclose(mix(x), cands[0](x))
+    assert mix.candidates == cands
+    np.testing.assert_array_equal(mix.weights, point)
 
 
 def test_aggregate_mixture_of_constants(haar):
@@ -184,13 +194,10 @@ def test_aggregate_mixture_of_constants(haar):
     from multithresh.wavelets import WaveletExpansion
 
     plan = flat_plan(0.0, 0, 0, 16)
-    grid = midpoint_grid(2 ** 10)
 
     def const_candidate(c):
         e = WaveletExpansion(0, 0, np.array([c]), [np.zeros(1)])
-        return CandidateEstimator(
-            u=0, plan=plan, expansion=e, family=haar, clip_lo=0.0, clip_hi=1.0,
-            grid_values=np.full(2 ** 10, c), integral_sq=c * c)
+        return CandidateEstimator(u=0, plan=plan, expansion=e, grid_values=np.full(2 ** 10, c))
 
     mix = aggregate_mixture([const_candidate(0.0), const_candidate(1.0)], [0.5, 0.5])
     np.testing.assert_allclose(mix.grid_values, 0.5)
@@ -204,7 +211,42 @@ def test_mixture_stays_in_clip_range(haar):
     est, diag = multi_threshold_estimate(sample, haar, ThresholdRule("hard"), loss, rho=1.0)
     assert np.all(est.grid_values >= 0.0)
     assert np.all(est.grid_values <= 2.0)
-    assert np.all(est(np.linspace(0, 1, 101)) <= 2.0 + 1e-12)
+    # clipping before averaging: the raw expansions overshoot, the candidates do not
+    raw = np.array([synthesize_at(haar, c.expansion, midpoint_grid(2 ** 12))
+                    for c in est.candidates])
+    assert raw.max() > 2.0 and raw.min() < 0.0
+    np.testing.assert_array_equal([c.grid_values for c in est.candidates],
+                                  np.clip(raw, 0.0, 2.0))
+
+
+@functools.lru_cache(maxsize=None)
+def _family(name):
+    return build_family(name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=st.sampled_from(["density", "regression"]),
+       family=st.sampled_from(SUPPORTED_FAMILIES), rule=st.sampled_from(RULE_KINDS),
+       n=st.integers(62, 400), seed=st.integers(0, 2 ** 16),
+       concentration=st.floats(0.2, 5.0), B=st.floats(1.0, 4.0), rho=st.floats(0.05, 5.0))
+def test_grid_values_in_clip_range(model, family, rule, n, seed, concentration, B, rho):
+    # beta-distributed points pile up near the edges or the middle, so the
+    # raw expansions overshoot both ends of [0, B]
+    rng = np.random.default_rng(seed)
+    x = rng.beta(concentration, concentration, size=n)
+    if model == "density":
+        sample, loss = DensitySample(x), LossSpec.density(B, 2 ** 8)
+    else:
+        sample, loss = RegressionSample(x, (rng.uniform(size=n) < x).astype(float)), \
+            LossSpec.regression(2 ** 8)
+    family, rule = _family(family), ThresholdRule(rule)
+    cands, diag = multi_threshold_candidates(sample, family, rule, loss, rho=rho)
+    mix = aggregate_mixture(cands, diag.weights)
+    base = universal_threshold_estimate(sample, family, rule, loss)
+    for est in [*cands, base]:
+        assert np.all(est.grid_values >= 0.0) and np.all(est.grid_values <= loss.B)
+    # the weighted sum of values at B can round to just above B (B + 2e-16 seen)
+    assert np.all(mix.grid_values >= 0.0) and np.all(mix.grid_values <= loss.B + 1e-12)
 
 
 def test_pipeline_diagnostics_invariants(haar):
@@ -217,8 +259,7 @@ def test_pipeline_diagnostics_invariants(haar):
     assert abs(diag.weights.sum() - 1.0) < 1e-12
     assert diag.chosen_u == diag.u_grid[diag.erm_index]
     # theory rho by default
-    assert diag.rho == pytest.approx(
-        __import__("multithresh").min_rho(1.9, haar.psi_sup, "density"))
+    assert diag.rho == pytest.approx(min_rho(1.9, haar.psi_sup, "density"))
 
 
 def test_pipeline_deterministic(haar):

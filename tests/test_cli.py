@@ -1,16 +1,23 @@
 """Command-line interface: subcommands, file formats, exit codes."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from multithresh import cli
 from multithresh.cli import (
     DataError,
     main,
     parse_config_file,
     read_sample_file,
+    results_to_rows,
     rows_to_results,
 )
-from multithresh.evaluate import MonteCarloConfig, monte_carlo, oracle_report
+from multithresh.evaluate import ExperimentResult, MonteCarloConfig, monte_carlo, oracle_report
 from multithresh.aggregation import theory_constants
 
 
@@ -109,8 +116,17 @@ def test_estimate_sample_too_small_for_split(tmp_path, capsys):
     ["simulate", "--n", "64,128", "--out", "s.txt"],
     ["rates", "--n", "20,30,40", "--reps", 1, "--out", "r.csv"],
     ["rates", "--config", "wiggle.cfg", "--n", "64,128,256", "--out", "r.csv"],
+    ["check", "constants", "--c", 0],
+    ["check", "constants", "--c", "nan"],
+    ["check", "constants", "--K", 0.5],
+    ["check", "oracle", "--epsilon", 0, "--input", "rows.csv"],
+    ["check", "oracle", "--epsilon", "nan", "--input", "rows.csv"],
+    ["check", "deviation", "--a", "1,x"],
+    ["check", "deviation", "--a", -1],
 ], ids=["estimate-family", "estimate-config-rule", "check-moment-family", "simulate-n-8",
-        "simulate-n-list", "rates-n-below-split", "rates-config-rule"])
+        "simulate-n-list", "rates-n-below-split", "rates-config-rule", "check-constants-c-0",
+        "check-constants-c-nan", "check-constants-K", "check-oracle-epsilon-0",
+        "check-oracle-epsilon-nan", "check-deviation-a-text", "check-deviation-a-negative"])
 def test_config_errors_exit_1(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "wiggle.cfg").write_text("rule = wiggle\n")
@@ -118,6 +134,20 @@ def test_config_errors_exit_1(tmp_path, monkeypatch, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+def test_uniform_noise_out_of_range_is_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    noise = ["--model", "regression", "--target", "triangle", "--noise", "uniform"]
+    for argv in (["simulate", *noise, "--n", 100, "--out", "s.txt"],
+                 ["rates", *noise, "--n", "64,128,256", "--reps", 1, "--out", "r.csv"]):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "[0.1, 0.9]" in err
+    # estimate does not sample, so the noise setting does not concern it
+    assert run(["simulate", "--model", "regression", "--target", "triangle", "--n", 100,
+                "--out", "s.txt"]) == 0
+    assert run(["estimate", *noise, "--input", "s.txt", "--out", "est.csv"]) == 0
 
 
 def test_estimate_malformed_line_reports_lineno(tmp_path, capsys):
@@ -189,6 +219,39 @@ def test_rows_csv_roundtrip(tmp_path):
             rows_to_results(str(broken))
 
 
+_finite = st.floats(allow_nan=False)
+
+
+@st.composite
+def _experiment_results(draw):
+    keys = draw(st.lists(st.tuples(st.sampled_from(["density", "regression"]),
+                                   st.sampled_from(["bump", "triangle"]),
+                                   st.integers(62, 10 ** 6), st.integers(0, 99)),
+                         min_size=1, max_size=6, unique=True))
+    results = []
+    for model, target, n, rep in keys:
+        M = draw(st.integers(1, 5))
+        results.append(ExperimentResult(
+            model=model, target=target, n=n, rep=rep, root_seed=draw(st.integers(0, 2 ** 32)),
+            candidate_risks=tuple(draw(st.lists(_finite, min_size=M, max_size=M))),
+            aggregate_risk=draw(_finite), erm_risk=draw(_finite),
+            weights=tuple(draw(st.lists(_finite, min_size=M, max_size=M))),
+            chosen_u=draw(st.integers(0, M - 1)), universal_risk=draw(st.none() | _finite),
+            m=draw(st.integers(16, n)), l=draw(st.integers(16, n)),
+            j1=draw(st.integers(0, 20)), rho=draw(_finite)))
+    return results
+
+
+@settings(max_examples=50, deadline=None)
+@given(results=_experiment_results())
+def test_rows_csv_roundtrip_property(results):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        cli._write_csv(path, list(cli._ROW_COLUMNS), results_to_rows(results, "AEW", "hard"))
+        back = rows_to_results(str(path))
+    assert back == sorted(results, key=lambda r: (r.model, r.target, r.n, r.rep))
+
+
 def test_check_constants(capsys):
     assert run(["check", "constants", "--c", 16, "--K", 1]) == 0
     out = capsys.readouterr().out
@@ -218,6 +281,24 @@ def test_check_oracle_from_csv(tmp_path, capsys):
     constants = theory_constants("regression")
     rep = oracle_report(results, constants, 1.0)
     assert f"{rep.lhs:.17g}"[:12] in text
+
+
+def test_check_oracle_bad_rows_are_data_errors(tmp_path, capsys):
+    common = ["--target", "triangle", "--n", "64,128,256", "--reps", 2, "--seed", 3,
+              "--rho", "2.0", "--grid-size", 1024]
+    density, regression = tmp_path / "d.csv", tmp_path / "r.csv"
+    assert run(["rates", "--model", "density", *common, "--out", density]) == 0
+    assert run(["rates", "--model", "regression", *common, "--out", regression]) == 0
+    # both models at one n: the rows of the second file without its header
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_text(density.read_text() + "".join(regression.read_text().splitlines(True)[1:]))
+    unknown = tmp_path / "unknown.csv"
+    unknown.write_text(density.read_text().replace(",triangle,", ",nope,"))
+    capsys.readouterr()
+    for path, message in ((mixed, "mixed-configuration"), (unknown, "unknown target")):
+        assert run(["check", "oracle", "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert "data error:" in err and message in err and "Traceback" not in err
 
 
 def test_config_file_merging(tmp_path):
