@@ -148,8 +148,8 @@ class MixtureEstimator:
     grid_values: np.ndarray = field(repr=False)
 
 
-def aggregate_mixture(candidates, weights) -> MixtureEstimator:
-    """Pointwise weighted average of clipped candidates."""
+def aggregate_mixture(candidates, weights, loss: LossSpec) -> MixtureEstimator:
+    """Pointwise weighted average of clipped candidates, clipped to [0, B] against rounding."""
     weights = np.asarray(weights, dtype=float)
     if len(candidates) != len(weights):
         raise ValueError("one weight per candidate required")
@@ -158,6 +158,7 @@ def aggregate_mixture(candidates, weights) -> MixtureEstimator:
     grid_values = np.zeros_like(candidates[0].grid_values)
     for w, cand in zip(weights, candidates):
         grid_values += w * cand.grid_values
+    np.clip(grid_values, 0.0, loss.B, out=grid_values)
     return MixtureEstimator(list(candidates), weights, grid_values)
 
 
@@ -284,7 +285,7 @@ def multi_threshold_estimate(
     )
     if scheme == "ERM":
         return candidates[diag.erm_index], diag
-    return aggregate_mixture(candidates, diag.weights), diag
+    return aggregate_mixture(candidates, diag.weights, loss), diag
 
 
 def universal_threshold_estimate(

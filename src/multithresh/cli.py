@@ -5,10 +5,13 @@ on a sample file), ``rates`` (Monte Carlo rate experiment), ``check``
 (constants / ongle / moment / deviation / oracle verification).
 
 Sample files hold one observation per line: "x" for the density model,
-"x,y" for regression. Config files are flat "key = value" lines with '#'
-comments; every key is also a command-line flag and the flag wins.
+"x,y" for regression. Each subcommand takes exactly the config keys it
+reads (``_KEYS``), as flags or as "key = value" lines of a config file; a
+flag wins over the file, the file over the default. A file key read only
+by other subcommands is ignored (one file can serve several); an unknown
+key is an error.
 
-Exit codes: 0 ok, 1 config error, 2 data error, 3 failed acceptance check.
+Exit codes: 0 ok, 1 config or usage error, 2 data error, 3 failed check.
 All CSV output uses a header row, comma separators, '.' decimals and 17
 significant digits, and is byte-stable for a fixed config and seed (wall
 times are deliberately kept out of the CSV).
@@ -22,6 +25,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -45,21 +49,22 @@ from .evaluate import (
 )
 from .simulate import TargetFunction, check_noise, get_target, sample_density, sample_regression
 from .thresholding import RULE_KINDS, ThresholdRule, verify_ongle
-from .wavelets import DEFAULT_GRID_SIZE, WaveletFamily, build_family, midpoint_grid
+from .wavelets import (DEFAULT_GRID_SIZE, MAX_CASCADE_DEPTH, MIN_CASCADE_DEPTH,
+                       SUPPORTED_FAMILIES, WaveletFamily, build_family, midpoint_grid)
 
 MODELS = ("density", "regression")
 
 
 class ConfigError(Exception):
-    pass
+    exit_code, label = 1, "config error"
 
 
 class DataError(Exception):
-    pass
+    exit_code, label = 2, "data error"
 
 
 class CheckFailure(Exception):
-    pass
+    exit_code, label = 3, "check failed"
 
 
 def _fmt(value) -> str:
@@ -75,7 +80,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    """Flat key = value lines; '#' starts a comment; later keys win."""
+    """Flat key = value lines; '#' starts a comment; later keys win; keys are in ``_KEYS``."""
     out: dict[str, str] = {}
     try:
         text = Path(path).read_text()
@@ -87,54 +92,11 @@ def parse_config_file(path: str) -> dict[str, str]:
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, value = stripped.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key not in _KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        out[key] = value
     return out
-
-
-def _merge_config(args: argparse.Namespace, keys: dict[str, type]) -> dict:
-    """Config-file values overridden by any explicitly set flags."""
-    merged: dict = {}
-    file_values = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, cast in keys.items():
-        if key in file_values:
-            try:
-                merged[key] = _cast(file_values[key], cast)
-            except ValueError as exc:
-                raise ValueError(f"config key {key!r}: {exc}") from exc
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    return merged
-
-
-def _cast(text: str, cast: type):
-    if cast is bool:
-        if text.lower() in ("1", "true", "yes", "on"):
-            return True
-        if text.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {text!r}")
-    return cast(text)
-
-
-def _parse_list(text: str, cast: type) -> tuple:
-    try:
-        return tuple(cast(v) for v in str(text).split(","))
-    except ValueError as exc:
-        raise ValueError(f"invalid comma list of {cast.__name__} values: {text!r}") from exc
-
-
-def _parse_rho(text: str) -> float | None:
-    if text == "theory":
-        return None  # the pipeline substitutes the smallest deviation-valid constant
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise ValueError(f"rho must be 'theory' or a number, got {text!r}") from exc
-    if not 0.0 < value < math.inf:
-        raise ValueError("rho must be positive and finite")
-    return value
 
 
 def read_sample_file(path: str, model: str):
@@ -178,97 +140,153 @@ def write_sample_file(path: Path, sample) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Config mapping and subcommands
+# Config keys and subcommands
 # ---------------------------------------------------------------------------
 
-_COMMON_KEYS = {
-    "model": str, "target": str, "family": str, "cascade_depth": int,
-    "rule": str, "scheme": str, "rho": str, "n": str, "reps": int,
-    "seed": int, "grid_size": int, "noise": str, "B": float,
-}
-_RATES_KEYS = {**_COMMON_KEYS, "universal": bool, "universal_c": float}
-# the checks always run in the density model and take the rule's constants, the
-# margin and loss-difference constants, the deviation sizes and the oracle epsilon
-_CHECK_KEYS = {**{k: v for k, v in _COMMON_KEYS.items() if k != "model"},
-               "c1": float, "c2": float, "c": float, "K": float, "a": str, "epsilon": float}
+def _value(cast, ok, expected: str) -> Callable[[str], Any]:
+    """Parser of one config value: ``cast`` the text, then require ``ok`` of it.
 
-_DEFAULTS = {
-    "model": "density", "target": "uniform", "family": "Haar", "cascade_depth": 12,
-    "rule": "hard", "scheme": "AEW", "rho": "theory", "n": "1024", "reps": 100,
-    "seed": 42, "grid_size": DEFAULT_GRID_SIZE, "noise": "bernoulli", "B": 2.0,
-    "c1": None, "c2": None, "universal": False, "universal_c": 1.0,
-    "c": 16.0, "K": 1.0, "a": "1,2,3,4", "epsilon": 1.0,
+    ``ok`` is written positively, so that NaN fails a range check.
+    """
+    def parse(text: str):
+        try:
+            value = cast(text)
+            if ok(value):
+                return value
+        except (ValueError, LookupError):
+            pass
+        raise ValueError(f"expected {expected}, got {text!r}")
+    return parse
+
+
+def _choice(options: tuple[str, ...]) -> Callable[[str], str]:
+    return _value(str, options.__contains__, f"one of {options}")
+
+
+def _number(cast, lo, above: bool = False) -> Callable[[str], Any]:
+    """Parser of a finite number >= ``lo``, or > ``lo`` when ``above``."""
+    kind = "an integer" if cast is int else "a finite number"
+    return _value(cast, lambda v: (lo < v if above else lo <= v) and v < math.inf,
+                  f"{kind} {'>' if above else '>='} {lo}")
+
+
+def _list(parse: Callable[[str], Any]) -> Callable[[str], tuple]:
+    return lambda text: tuple(parse(v) for v in text.split(","))
+
+
+_POSITIVE = _number(float, 0.0, above=True)
+_BOOLEAN = _value(lambda t: {"1": True, "true": True, "yes": True, "on": True, "0": False,
+                             "false": False, "no": False, "off": False}[t.lower()],
+                  lambda v: True, "a boolean")
+
+
+class _Key(NamedTuple):
+    """A config key: its parser, its default and the subcommands that read it."""
+
+    parse: Callable[[str], Any]
+    default: str | None  # parsed like a flag; None leaves the key unset
+    commands: tuple[str, ...]
+    default_for: dict[str, str] = {}  # subcommands whose default differs
+    help: str | None = None
+
+
+_ESTIMATORS = ("estimate", "rates")
+_SAMPLING_CHECKS = ("check moment", "check deviation")  # both run in the density model
+_KEYS = {
+    "model": _Key(_choice(MODELS), "density", ("simulate", *_ESTIMATORS)),
+    "target": _Key(str, "uniform", ("simulate", "rates", *_SAMPLING_CHECKS),
+                   {"rates": "triangle"}),
+    "family": _Key(_choice(SUPPORTED_FAMILIES), "Haar", (*_ESTIMATORS, *_SAMPLING_CHECKS)),
+    "cascade_depth": _Key(_value(int, lambda v: MIN_CASCADE_DEPTH <= v <= MAX_CASCADE_DEPTH,
+                                 f"an integer in [{MIN_CASCADE_DEPTH}, {MAX_CASCADE_DEPTH}]"),
+                          "12", (*_ESTIMATORS, *_SAMPLING_CHECKS)),
+    "rule": _Key(_choice(RULE_KINDS), "hard", (*_ESTIMATORS, "check ongle")),
+    "scheme": _Key(_choice(SCHEMES), "AEW", _ESTIMATORS),
+    "rho": _Key(_value(lambda t: None if t == "theory" else _POSITIVE(t), lambda v: True,
+                       "'theory' or a finite number > 0"),
+                "theory", (*_ESTIMATORS, "check deviation"),
+                help="'theory' (the smallest deviation-valid constant) or a positive number"),
+    "n": _Key(_list(_number(int, MIN_SAMPLE_SIZE)), "1024",
+              ("simulate", "rates", *_SAMPLING_CHECKS),
+              {"rates": "512,1024,2048,4096,8192", "check moment": "256,1024,4096"},
+              help="sample size, or comma list for rates and check moment"),
+    "reps": _Key(_number(int, 1), "100", ("rates", *_SAMPLING_CHECKS),
+                 {"check moment": "10000", "check deviation": "100000"}),
+    "seed": _Key(_number(int, 0), "42", ("simulate", "rates", *_SAMPLING_CHECKS)),
+    "grid_size": _Key(_number(int, 2), str(DEFAULT_GRID_SIZE), _ESTIMATORS),
+    "noise": _Key(_choice(("bernoulli", "uniform")), "bernoulli", ("simulate", "rates")),
+    "B": _Key(_number(float, 1.0), "2.0", ("estimate",), help="density bound (clip ceiling)"),
+    "universal": _Key(_BOOLEAN, "false", ("rates",),
+                      help="also run the universal-threshold baseline"),
+    "universal_c": _Key(_POSITIVE, "1.0", ("rates",)),
+    "c": _Key(_POSITIVE, "16.0", ("check constants",), help="margin constant"),
+    "K": _Key(_number(float, 1.0), "1.0", ("check constants",), help="loss-difference bound"),
+    "c1": _Key(_number(float, 0.0), None, ("check ongle",)),
+    "c2": _Key(_number(float, 0.0), None, ("check ongle",)),
+    "a": _Key(_list(_number(float, 0.0)), "1,2,3,4", ("check deviation",),
+              help="comma list of deviation sizes"),
+    "epsilon": _Key(_POSITIVE, "1.0", ("check oracle",)),
 }
+
+
+def _config(args) -> dict:
+    """The subcommand's keys, each from its flag, else the config file, else its default."""
+    file_values = parse_config_file(args.config) if args.config else {}
+    cfg = {}
+    for key, spec in _KEYS.items():
+        if args.command not in spec.commands:
+            continue  # another subcommand's key, so that one file can serve several
+        text = getattr(args, key)
+        if text is None:
+            text = file_values.get(key, spec.default_for.get(args.command, spec.default))
+        try:
+            cfg[key] = None if text is None else spec.parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from exc
+    return cfg
 
 
 @dataclass(frozen=True)
 class Setup:
-    """One subcommand's merged config and the pipeline objects built from it."""
+    """One subcommand's parsed config and the pipeline objects built from it.
+
+    An object is None when the subcommand reads none of the keys it is built from.
+    """
 
     cfg: dict
-    target: TargetFunction
-    family: WaveletFamily
-    rule: ThresholdRule
-    loss: LossSpec
-    rho: float | None  # None = the smallest deviation-valid constant
-    ns: tuple[int, ...]
+    target: TargetFunction | None
+    family: WaveletFamily | None
     monte_carlo: MonteCarloConfig | None
 
-    @property
-    def n(self) -> int:
-        """The sample size of a subcommand that takes a single one."""
-        if len(self.ns) != 1:
-            raise ConfigError(f"expected one sample size, got {self.ns}")
-        return self.ns[0]
 
+def _setup(args) -> Setup:
+    """Parse one subcommand's config and map it to pipeline objects.
 
-def _setup(args, keys=_COMMON_KEYS, monte_carlo: bool = False, **defaults) -> Setup:
-    """Map one subcommand's config to pipeline objects.
-
-    A flag wins over the config file, which wins over ``defaults`` and then
-    ``_DEFAULTS``. ``monte_carlo`` also builds the rates experiment config.
-    The subcommands that sample regression data check the noise against
-    the target, and the check keys are validated here too.
-    This is the only place where a ValueError becomes a ConfigError, so
-    every invalid config value exits 1 with a message.
+    The key parsers check each value alone; the objects check what depends
+    on several keys (the target name and the model, the noise range and the
+    regression target, the sample sizes and the train/learn split). This is
+    the only place where a ValueError becomes a ConfigError, so every
+    invalid config value exits 1 with a message.
     """
     try:
-        cfg = {**_DEFAULTS, **defaults, **_merge_config(args, keys)}
-        model, scheme, grid_size = cfg["model"], cfg["scheme"], cfg["grid_size"]
-        if model not in MODELS:
-            raise ValueError(f"unknown model {model!r}")
-        if scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-        ns = _parse_list(cfg["n"], int)
-        if min(ns) < MIN_SAMPLE_SIZE:
-            raise ValueError(f"sample sizes must be at least {MIN_SAMPLE_SIZE}, got {min(ns)}")
-        rho = _parse_rho(cfg["rho"])
-        target = get_target(cfg["target"], model)
-        if args.command in ("simulate", "rates") and model == "regression":
+        cfg = _config(args)
+        if args.command in ("simulate", "check deviation") and len(cfg["n"]) > 1:
+            raise ValueError(f"n: expected one sample size, got {cfg['n']}")
+        model = cfg.get("model", "density")  # the checks run in the density model
+        target = get_target(cfg["target"], model) if "target" in cfg else None
+        if model == "regression" and "noise" in cfg:
             check_noise(target, cfg["noise"])
-        if "epsilon" in keys:
-            beta_constants(cfg["c"], cfg["K"])  # rejects c <= 0 and K < 1
-            cfg["a"] = _parse_list(cfg["a"], float)
-            if not all(0.0 <= a < math.inf for a in cfg["a"]):
-                raise ValueError(f"deviation sizes a must be finite and >= 0, got {cfg['a']}")
-            if not 0.0 < cfg["epsilon"] < math.inf:
-                raise ValueError("epsilon must be positive and finite")
         return Setup(
             cfg=cfg,
             target=target,
-            family=build_family(cfg["family"], cfg["cascade_depth"]),
-            rule=ThresholdRule(cfg["rule"], cfg["c1"], cfg["c2"]),
-            loss=LossSpec.regression(grid_size) if model == "regression"
-            else LossSpec.density(cfg["B"], grid_size),
-            rho=rho,
-            ns=ns,
+            family=build_family(cfg["family"], cfg["cascade_depth"]) if "family" in cfg else None,
             monte_carlo=MonteCarloConfig(
-                model=model, target=cfg["target"], ns=ns, reps=cfg["reps"],
+                model=model, target=cfg["target"], ns=cfg["n"], reps=cfg["reps"],
                 root_seed=cfg["seed"], family=cfg["family"],
-                cascade_depth=cfg["cascade_depth"], rule=cfg["rule"], scheme=scheme,
-                rho=rho, grid_size=grid_size, noise=cfg["noise"],
+                cascade_depth=cfg["cascade_depth"], rule=cfg["rule"], scheme=cfg["scheme"],
+                rho=cfg["rho"], grid_size=cfg["grid_size"], noise=cfg["noise"],
                 include_universal=cfg["universal"], universal_c=cfg["universal_c"],
-            ) if monte_carlo else None,
+            ) if args.command == "rates" else None,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -276,7 +294,7 @@ def _setup(args, keys=_COMMON_KEYS, monte_carlo: bool = False, **defaults) -> Se
 
 def cmd_simulate(args) -> int:
     setup = _setup(args)
-    cfg, n = setup.cfg, setup.n
+    cfg, n = setup.cfg, setup.cfg["n"][0]
     if cfg["model"] == "density":
         sample = sample_density(setup.target, n, cfg["seed"])
     else:
@@ -288,16 +306,17 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     setup = _setup(args)
-    model, scheme = setup.cfg["model"], setup.cfg["scheme"]
+    cfg = setup.cfg
+    model, scheme, grid_size = cfg["model"], cfg["scheme"], cfg["grid_size"]
+    loss = LossSpec(model, cfg["B"] if model == "density" else 1.0, grid_size)
     sample = read_sample_file(args.input, model)
     try:
         estimator, diag = multi_threshold_estimate(
-            sample, setup.family, setup.rule, setup.loss, rho=setup.rho, scheme=scheme
+            sample, setup.family, ThresholdRule(cfg["rule"]), loss, rho=cfg["rho"], scheme=scheme
         )
     except ValueError as exc:
         raise DataError(f"{args.input}: {exc}") from exc
 
-    grid_size = setup.loss.grid_size
     header = ["x", "f_tilde"]
     columns = [midpoint_grid(grid_size), estimator.grid_values]
     # an ERM estimate is a single candidate and has no per-candidate columns
@@ -384,8 +403,7 @@ def rows_to_results(path: str) -> list[ExperimentResult]:
 
 
 def cmd_rates(args) -> int:
-    setup = _setup(args, _RATES_KEYS, monte_carlo=True,
-                   target="triangle", n="512,1024,2048,4096,8192")
+    setup = _setup(args)
     config = setup.monte_carlo
     if len(config.ns) < 3:
         raise ConfigError("rates needs at least three sample sizes")
@@ -427,7 +445,7 @@ def _verdict(passed: bool, failure: str, success: str = "pass") -> int:
 
 
 def _check_constants(args) -> int:
-    cfg = _setup(args, _CHECK_KEYS).cfg
+    cfg = _setup(args).cfg
     beta1, beta2 = beta_constants(cfg["c"], cfg["K"])
     print(f"beta1 = {_fmt(beta1)}")
     print(f"beta2 = {_fmt(beta2)}")
@@ -435,7 +453,9 @@ def _check_constants(args) -> int:
 
 
 def _check_ongle(args) -> int:
-    report = verify_ongle(_setup(args, _CHECK_KEYS).rule, (0.1, 0.5, 1.0, 2.0), 0.01, 10.0)
+    cfg = _setup(args).cfg
+    report = verify_ongle(ThresholdRule(cfg["rule"], cfg["c1"], cfg["c2"]),
+                          (0.1, 0.5, 1.0, 2.0), 0.01, 10.0)
     print(f"rule = {report.rule_kind}, c1 = {_fmt(report.c1)}, c2 = {_fmt(report.c2)}")
     print(f"points checked = {report.points_checked}")
     if not report.passed:
@@ -445,8 +465,8 @@ def _check_ongle(args) -> int:
 
 
 def _check_moment(args) -> int:
-    setup = _setup(args, _CHECK_KEYS, n="256,1024,4096", reps=10000)
-    report = check_moment(setup.family, setup.target, [(2, 0), (3, 1)], setup.ns,
+    setup = _setup(args)
+    report = check_moment(setup.family, setup.target, [(2, 0), (3, 1)], setup.cfg["n"],
                           setup.cfg["reps"], setup.cfg["seed"])
     for n, m4 in zip(report.ns, report.fourth_moments):
         print(f"n = {n}: E|beta_hat - beta|^4 = {_fmt(m4)}")
@@ -455,10 +475,10 @@ def _check_moment(args) -> int:
 
 
 def _check_deviation(args) -> int:
-    setup = _setup(args, _CHECK_KEYS, reps=100000)
-    rho = setup.rho if setup.rho is not None \
+    setup = _setup(args)
+    rho = setup.cfg["rho"] if setup.cfg["rho"] is not None \
         else min_rho(max(1.0, setup.target.bound), setup.family.psi_sup, "density")
-    report = check_deviation(setup.family, setup.target, rho, setup.cfg["a"], setup.n,
+    report = check_deviation(setup.family, setup.target, rho, setup.cfg["a"], setup.cfg["n"][0],
                              setup.cfg["reps"], setup.cfg["seed"])
     for a, f, b, t in zip(report.a_values, report.frequencies,
                           report.bounds, report.tolerances):
@@ -467,9 +487,7 @@ def _check_deviation(args) -> int:
 
 
 def _check_oracle(args) -> int:
-    epsilon = _setup(args, _CHECK_KEYS).cfg["epsilon"]
-    if not args.input:
-        raise ConfigError("check oracle requires --input rows.csv")
+    epsilon = _setup(args).cfg["epsilon"]
     results = rows_to_results(args.input)
     ns = sorted({r.n for r in results})
     if len(ns) > 1:
@@ -497,87 +515,59 @@ def _check_oracle(args) -> int:
                     "bound satisfied (non-sharp at this scale)")
 
 
-_CHECKS = {"constants": _check_constants, "ongle": _check_ongle, "moment": _check_moment,
-           "deviation": _check_deviation, "oracle": _check_oracle}
+# each subcommand with its function, its help and the files it reads and writes
+_COMMANDS = {
+    "simulate": (cmd_simulate, "emit a raw sample file", ("--out",)),
+    "estimate": (cmd_estimate, "run the estimator on a sample file", ("--input", "--out")),
+    "rates": (cmd_rates, "Monte Carlo rate experiment", ("--out",)),
+    "check constants": (_check_constants, "the oracle inequality's residual constants", ()),
+    "check ongle": (_check_ongle, "the rule's quadratic stability condition", ()),
+    "check moment": (_check_moment, "the fourth-moment hypothesis on coefficients", ()),
+    "check deviation": (_check_deviation, "the large-deviation hypothesis on coefficients", ()),
+    "check oracle": (_check_oracle, "the oracle inequality on a rates rows CSV", ("--input",)),
+}
 
 
-def cmd_check(args) -> int:
-    return _CHECKS[args.what](args)
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a config error (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """One parser per subcommand, with a flag for exactly the config keys it reads."""
+    parser = _Parser(
         prog="multithresh",
         description="Adaptive wavelet estimation by aggregation of thresholded estimators",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    checks = sub.add_parser("check", help="verification reports").add_subparsers(
+        dest="check", required=True)
+    for name, (func, help_text, files) in _COMMANDS.items():
+        p = (checks if name.startswith("check ") else sub).add_parser(
+            name.removeprefix("check "), help=help_text)
+        p.set_defaults(func=func, command=name)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--model", choices=MODELS)
-        p.add_argument("--target")
-        p.add_argument("--family")
-        p.add_argument("--cascade-depth", dest="cascade_depth", type=int)
-        p.add_argument("--rule", choices=RULE_KINDS)
-        p.add_argument("--scheme", choices=SCHEMES)
-        p.add_argument("--rho", help="'theory' or a positive number")
-        p.add_argument("--n", help="sample size, or comma list for rates")
-        p.add_argument("--reps", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--grid-size", dest="grid_size", type=int)
-        p.add_argument("--noise", choices=["bernoulli", "uniform"])
-        p.add_argument("--B", type=float, help="density bound (clip ceiling)")
-
-    p_sim = sub.add_parser("simulate", help="emit a raw sample file")
-    add_common(p_sim)
-    p_sim.add_argument("--out", required=True)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_est = sub.add_parser("estimate", help="run the estimator on a sample file")
-    add_common(p_est)
-    p_est.add_argument("--input", required=True)
-    p_est.add_argument("--out", required=True)
-    p_est.add_argument("--per-candidate", action="store_true",
-                       help="also write every candidate's grid values")
-    p_est.set_defaults(func=cmd_estimate)
-
-    p_rates = sub.add_parser("rates", help="Monte Carlo rate experiment")
-    add_common(p_rates)
-    p_rates.add_argument("--out", required=True)
-    p_rates.add_argument("--universal", action="store_true", default=None,
-                         help="also run the universal-threshold baseline")
-    p_rates.add_argument("--universal-c", dest="universal_c", type=float)
-    p_rates.set_defaults(func=cmd_rates)
-
-    p_check = sub.add_parser("check", help="verification reports")
-    p_check.add_argument("what", choices=_CHECKS)
-    add_common(p_check)
-    p_check.add_argument("--c", type=float, help="margin constant")
-    p_check.add_argument("--K", type=float, help="loss-difference bound")
-    p_check.add_argument("--c1", type=float)
-    p_check.add_argument("--c2", type=float)
-    p_check.add_argument("--a", help="comma list of deviation sizes")
-    p_check.add_argument("--input", help="rates rows CSV (check oracle)")
-    p_check.add_argument("--epsilon", type=float)
-    p_check.set_defaults(func=cmd_check)
-
+        for key, spec in _KEYS.items():
+            if name in spec.commands:
+                kw = {"action": "store_const", "const": "true"} if spec.parse is _BOOLEAN else {}
+                p.add_argument("--" + key.replace("_", "-"), dest=key, help=spec.help, **kw)
+        for flag in files:
+            p.add_argument(flag, required=True)
+        if name == "estimate":
+            p.add_argument("--per-candidate", action="store_true",
+                           help="also write every candidate's grid values")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except CheckFailure as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 3
+    except (ConfigError, DataError, CheckFailure) as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

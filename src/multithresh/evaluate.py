@@ -75,6 +75,8 @@ class MonteCarloConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
+        if not 0.0 < self.universal_c < math.inf:
+            raise ValueError(f"universal_c must be positive and finite, got {self.universal_c}")
         if not self.ns:
             raise ValueError("need at least one sample size")
         for n in self.ns:
@@ -151,7 +153,7 @@ def monte_carlo(config: MonteCarloConfig) -> list[ExperimentResult]:
                 rep=rep,
                 root_seed=config.root_seed,
                 candidate_risks=tuple(cand_risks),
-                aggregate_risk=risk(aggregate_mixture(candidates, diag.weights).grid_values),
+                aggregate_risk=risk(aggregate_mixture(candidates, diag.weights, loss).grid_values),
                 erm_risk=cand_risks[diag.erm_index],
                 weights=tuple(float(w) for w in diag.weights),
                 chosen_u=diag.chosen_u,
@@ -209,6 +211,8 @@ def check_moment(
     """
     if not target.is_density:
         raise ValueError("the moment check runs in the density model")
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
     levels = [(int(j), int(k)) for j, k in levels]
     j_top = max(j for j, _ in levels)
     truth = analyze(family, target, j_top, truth_grid)
@@ -267,10 +271,12 @@ def check_deviation(
     are exactly nonincreasing in a. Passes when every frequency stays below
     2^(-4a) plus three binomial standard errors.
     """
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    if not 0.0 < rho < math.inf:
+        raise ValueError("rho must be positive and finite")
     if not target.is_density:
         raise ValueError("the deviation check runs in the density model")
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
     a_values = np.asarray(a_values, dtype=float)
     j, k = level
     truth = analyze(family, target, j, truth_grid)
@@ -347,8 +353,8 @@ def oracle_report(results, constants, epsilon: float = 1.0) -> OracleReport:
     model, target, n, M, l = keys.pop()
     if M < 2:
         raise ValueError("the oracle inequality requires at least two candidates")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     cand = np.array([r.candidate_risks for r in results], dtype=float)
     agg = np.array([r.aggregate_risk for r in results], dtype=float)
     min_mean = float(cand.mean(axis=0).min())

@@ -9,6 +9,7 @@ on the grid x, y in [-10, 10] step 0.01, u in {0.1, 0.5, 1, 2}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +43,8 @@ class ThresholdRule:
             object.__setattr__(self, "c1", default_c1)
         if self.c2 is None:
             object.__setattr__(self, "c2", default_c2)
-        if self.c1 < 0.0 or self.c2 < 0.0:
-            raise ValueError("stability constants must be nonnegative")
+        if not (0.0 <= self.c1 < math.inf and 0.0 <= self.c2 < math.inf):
+            raise ValueError(f"need finite c1, c2 >= 0, got c1={self.c1}, c2={self.c2}")
 
 
 def apply_rule(rule: ThresholdRule, u: float, x):

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, file formats, exit codes."""
 
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -123,10 +124,31 @@ def test_estimate_sample_too_small_for_split(tmp_path, capsys):
     ["check", "oracle", "--epsilon", "nan", "--input", "rows.csv"],
     ["check", "deviation", "--a", "1,x"],
     ["check", "deviation", "--a", -1],
+    ["simulate", "--seed", -1, "--out", "s.txt"],
+    ["rates", "--seed", -3, "--n", "64,128,256", "--reps", 1, "--out", "r.csv"],
+    ["check", "moment", "--reps", 0],
+    ["check", "deviation", "--reps", 0, "--n", 128],
+    ["check", "ongle", "--c1", "nan"],
+    ["check", "ongle", "--c2", "nan"],
+    ["rates", "--universal", "--universal-c", "nan", "--n", "64,128,256", "--out", "r.csv"],
+    ["rates", "--universal", "--universal-c", -1, "--n", "64,128,256", "--out", "r.csv"],
+    # usage errors: a flag the subcommand does not read, an unknown flag, no --out
+    ["rates", "--B", 2, "--out", "r.csv"],
+    ["check", "constants", "--rule", "soft"],
+    ["estimate", "--seed", 1, "--input", "in.txt", "--out", "est.csv"],
+    ["simulate", "--family", "Haar", "--out", "s.txt"],
+    ["simulate", "--wiggle", 1, "--out", "s.txt"],
+    ["simulate"],
+    ["check", "oracle"],
 ], ids=["estimate-family", "estimate-config-rule", "check-moment-family", "simulate-n-8",
         "simulate-n-list", "rates-n-below-split", "rates-config-rule", "check-constants-c-0",
         "check-constants-c-nan", "check-constants-K", "check-oracle-epsilon-0",
-        "check-oracle-epsilon-nan", "check-deviation-a-text", "check-deviation-a-negative"])
+        "check-oracle-epsilon-nan", "check-deviation-a-text", "check-deviation-a-negative",
+        "simulate-seed-negative", "rates-seed-negative", "check-moment-reps-0",
+        "check-deviation-reps-0", "check-ongle-c1-nan", "check-ongle-c2-nan",
+        "rates-universal-c-nan", "rates-universal-c-negative", "rates-B-not-read",
+        "check-constants-rule-not-read", "estimate-seed-not-read", "simulate-family-not-read",
+        "unknown-flag", "missing-out", "check-oracle-missing-input"])
 def test_config_errors_exit_1(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "wiggle.cfg").write_text("rule = wiggle\n")
@@ -144,10 +166,56 @@ def test_uniform_noise_out_of_range_is_config_error(tmp_path, monkeypatch, capsy
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "[0.1, 0.9]" in err
-    # estimate does not sample, so the noise setting does not concern it
+    # estimate does not sample, so it takes no noise setting
     assert run(["simulate", "--model", "regression", "--target", "triangle", "--n", 100,
                 "--out", "s.txt"]) == 0
-    assert run(["estimate", *noise, "--input", "s.txt", "--out", "est.csv"]) == 0
+    estimate = ["estimate", "--model", "regression", "--input", "s.txt", "--out", "est.csv"]
+    assert run(estimate) == 0
+    assert run([*estimate, "--noise", "uniform"]) == 1
+
+
+@pytest.mark.parametrize("argv,key,value", [
+    (["estimate", "--input", "in.txt", "--out", "est.csv"], "rule", "wiggle"),
+    (["rates", "--n", "64,128,256", "--out", "r.csv"], "reps", "abc"),
+    (["simulate", "--out", "s.txt"], "model", "foo"),
+    (["simulate", "--out", "s.txt"], "seed", "-1"),
+])
+def test_flag_and_config_line_give_one_error(tmp_path, monkeypatch, capsys, argv, key, value):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_text(f"{key} = {value}\n")
+    errors = []
+    for given_as in (["--" + key, value], ["--config", "bad.cfg"]):
+        assert run([*argv, *given_as]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"config error: {key}: ") and repr(value) in errors[0]
+
+
+def test_config_file_keys_of_other_subcommands(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    # one file serves simulate and estimate; each ignores the other's keys
+    Path("run.cfg").write_text("model = regression\nn = 128\nseed = 3\nscheme = ERM\n")
+    assert run(["simulate", "--config", "run.cfg", "--out", "s.txt"]) == 0
+    assert read_sample_file("s.txt", "regression").n == 128
+    assert run(["estimate", "--config", "run.cfg", "--input", "s.txt", "--out", "e.csv"]) == 0
+    assert "scheme = ERM" in Path("e.csv.diag.txt").read_text()
+    # a key that no subcommand reads is named
+    Path("typo.cfg").write_text("rulee = soft\n")
+    capsys.readouterr()
+    assert run(["simulate", "--config", "typo.cfg", "--out", "s.txt"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'rulee'" in err
+
+
+def test_readme_usage_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command-line usage", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.strip() for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("multithresh ")]
+    assert len(commands) == 8
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv)
+        assert args.command == " ".join(argv[:2 if argv[0] == "check" else 1])
 
 
 def test_estimate_malformed_line_reports_lineno(tmp_path, capsys):

@@ -106,6 +106,10 @@ def test_monte_carlo_config_validation():
     with pytest.raises(ValueError, match="at least 62"):
         MonteCarloConfig(model="density", target="uniform", ns=(61, 128), reps=1)
     MonteCarloConfig(model="density", target="uniform", ns=(62,), reps=1)
+    for c in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="universal_c"):
+            MonteCarloConfig(model="density", target="uniform", ns=(62,), reps=1,
+                             universal_c=c)
 
 
 def test_mean_risk_by_n():
@@ -152,6 +156,17 @@ def test_check_moment_rejects_regression_target(haar):
     with pytest.raises(ValueError):
         check_moment(haar, get_target("uniform", "regression"), [(2, 0)],
                      (256,), 10)
+
+
+def test_checks_reject_zero_reps_and_bad_rho(haar):
+    uniform = get_target("uniform", "density")
+    with pytest.raises(ValueError, match="reps"):
+        check_moment(haar, uniform, [(2, 0)], (256,), 0)
+    with pytest.raises(ValueError, match="reps"):
+        check_deviation(haar, uniform, 2.0, (1.0,), 128, 0)
+    for rho in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rho"):
+            check_deviation(haar, uniform, rho, (1.0,), 128, 10)
 
 
 def test_check_deviation_zero_exceedances_at_theory_rho(haar):
@@ -237,3 +252,7 @@ def test_oracle_report_rejects_bad_input():
         synthetic_results([0.05], [[0.05, 0.02]], n=2048)
     with pytest.raises(ValueError):
         oracle_report(mixed, constants)
+    good = synthetic_results([0.05], [[0.05, 0.02]])
+    for epsilon in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="epsilon"):
+            oracle_report(good, constants, epsilon)

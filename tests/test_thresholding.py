@@ -35,8 +35,17 @@ def test_rule_default_constants():
     for rule in RULES:
         assert rule.c1 > 0 and rule.c2 > 0
     assert ThresholdRule("hard", c1=3.0, c2=1.0).c1 == 3.0
+    assert ThresholdRule("hard", c1=0.0, c2=0.0).c2 == 0.0
     with pytest.raises(ValueError):
         ThresholdRule("median")
+
+
+@pytest.mark.parametrize("c1,c2", [(-1.0, None), (None, -1.0), (float("nan"), None),
+                                   (None, float("nan")), (float("inf"), None)])
+def test_rule_rejects_constants_that_are_not_finite_and_nonnegative(c1, c2):
+    # a NaN constant would otherwise pass every stability check
+    with pytest.raises(ValueError, match="need finite c1, c2 >= 0"):
+        ThresholdRule("hard", c1=c1, c2=c2)
 
 
 @settings(max_examples=200, deadline=None)
