@@ -31,7 +31,7 @@ from .coefficients import (
 )
 from .thresholding import ThresholdPlan, ThresholdRule, flat_plan, make_plan, threshold_expansion
 from .wavelets import (DEFAULT_GRID_SIZE, WaveletExpansion, WaveletFamily, midpoint_grid,
-                       synthesize_at)
+                       synthesize_at, synthesize_many)
 
 SCHEMES = ("AEW", "ERM")
 
@@ -239,16 +239,18 @@ def multi_threshold_candidates(
 
     grid = midpoint_grid(loss.grid_size)
     u_grid = candidate_grid(n, j1)
-    candidates, risks = [], []
+    candidates = []
     for u in u_grid:
         plan = make_plan(rho, u, family.tau, j1, m)
         expansion = threshold_expansion(raw, plan, rule)
         grid_values = _clipped_values(family, expansion, grid, loss)
         candidates.append(CandidateEstimator(u, plan, expansion, grid_values))
-        risks.append(empirical_risk(loss, grid_values,
-                                    _clipped_values(family, expansion, learn.x, loss), learn))
+    # one stencil per level at the learning points serves every candidate
+    learn_values = synthesize_many(family, [c.expansion for c in candidates], learn.x)
+    np.clip(learn_values, 0.0, loss.B, out=learn_values)
+    risks = np.array([empirical_risk(loss, c.grid_values, values, learn)
+                      for c, values in zip(candidates, learn_values)])
 
-    risks = np.array(risks)
     weights = aew_weights(risks, l)
     erm_index = erm_select(risks)
     diag = AggregationDiagnostics(

@@ -36,7 +36,8 @@ from .aggregation import (
     multi_threshold_estimate,
     theory_constants,
 )
-from .coefficients import MIN_SAMPLE_SIZE, DensitySample, RegressionSample, min_rho
+from .coefficients import (MIN_SAMPLE_SIZE, DensitySample, RegressionSample, check_model_bound,
+                           min_rho)
 from .evaluate import (
     ExperimentResult,
     MonteCarloConfig,
@@ -215,7 +216,8 @@ _KEYS = {
     "seed": _Key(_number(int, 0), "42", ("simulate", "rates", *_SAMPLING_CHECKS)),
     "grid_size": _Key(_number(int, 2), str(DEFAULT_GRID_SIZE), _ESTIMATORS),
     "noise": _Key(_choice(("bernoulli", "uniform")), "bernoulli", ("simulate", "rates")),
-    "B": _Key(_number(float, 1.0), "2.0", ("estimate",), help="density bound (clip ceiling)"),
+    "B": _Key(_number(float, 1.0), None, ("estimate",),
+              help="density bound (clip ceiling), default 2.0; the regression model fixes B = 1"),
     "universal": _Key(_BOOLEAN, "false", ("rates",),
                       help="also run the universal-threshold baseline"),
     "universal_c": _Key(_POSITIVE, "1.0", ("rates",)),
@@ -264,9 +266,10 @@ def _setup(args) -> Setup:
 
     The key parsers check each value alone; the objects check what depends
     on several keys (the target name and the model, the noise range and the
-    regression target, the sample sizes and the train/learn split). This is
-    the only place where a ValueError becomes a ConfigError, so every
-    invalid config value exits 1 with a message.
+    regression target, the density bound and the model, the sample sizes
+    and the train/learn split). This is the only place where a ValueError
+    becomes a ConfigError, so every invalid config value exits 1 with a
+    message.
     """
     try:
         cfg = _config(args)
@@ -276,6 +279,10 @@ def _setup(args) -> Setup:
         target = get_target(cfg["target"], model) if "target" in cfg else None
         if model == "regression" and "noise" in cfg:
             check_noise(target, cfg["noise"])
+        if args.command == "estimate":
+            if cfg["B"] is None:
+                cfg["B"] = 2.0 if model == "density" else 1.0
+            check_model_bound(model, cfg["B"])
         return Setup(
             cfg=cfg,
             target=target,
@@ -308,7 +315,7 @@ def cmd_estimate(args) -> int:
     setup = _setup(args)
     cfg = setup.cfg
     model, scheme, grid_size = cfg["model"], cfg["scheme"], cfg["grid_size"]
-    loss = LossSpec(model, cfg["B"] if model == "density" else 1.0, grid_size)
+    loss = LossSpec(model, cfg["B"], grid_size)
     sample = read_sample_file(args.input, model)
     try:
         estimator, diag = multi_threshold_estimate(

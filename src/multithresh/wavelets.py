@@ -5,6 +5,10 @@ evaluated pointwise through precomputed dyadic cascade tables with linear
 interpolation (Haar in closed form). Provides synthesis at arbitrary points
 and its adjoint, analysis of a weighted point set, which gives both the
 empirical coefficients and the quadrature analysis of known functions.
+Synthesis on a midpoint grid of power-of-two size gathers from per-level
+tables of generator values cached on the family (``_grid_table``); every
+other point set, and every level finer than the grid, goes through the
+pointwise stencil, which is also the reference for the tables.
 
 Conventions:
   - the low-pass filter ``h`` sums to sqrt(2) and has unit l2 norm, so the
@@ -16,6 +20,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,7 +76,8 @@ class WaveletFamily:
     ``regularity`` is the nominal smoothness cap (number of vanishing
     moments); it is documented, not numerically certified. ``psi_sup`` is a
     certified numerical upper bound on the sup norm of the mother wavelet
-    (table maximum inflated by 1%, exact for Haar).
+    (table maximum inflated by 1%, exact for Haar). ``grid_tables`` caches
+    the generator values of grid synthesis per (kind, level, grid size).
     """
 
     name: str
@@ -83,6 +89,8 @@ class WaveletFamily:
     cascade_depth: int
     phi_table: np.ndarray = field(repr=False)
     psi_table: np.ndarray = field(repr=False)
+    grid_tables: dict[tuple[str, int, int], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def is_haar(self) -> bool:
@@ -279,15 +287,77 @@ def _stencil(family: WaveletFamily, kind: str, j: int, x: np.ndarray):
         yield np.mod(kb - m, two_j), _base_eval(family, kind, frac + m)
 
 
+def _grid_table(family: WaveletFamily, kind: str, j: int, size: int) -> np.ndarray:
+    """Generator values T[m, p] = g((p + 1/2) / P + m), P = size / 2^j, for m < support_width.
+
+    Point i = k P + p of the midpoint grid of ``size`` points has shift base
+    k and fractional position (p + 1/2) / P at level j, so the stencil
+    values repeat with period P. Cached on the family: per grid size the
+    tables of the scaling level and of all wavelet levels with 2^j < size
+    hold fewer than 3 * support_width * size / 2^tau <= 3 * size floats.
+    """
+    key = (kind, j, size)
+    table = family.grid_tables.get(key)
+    if table is None:
+        period = size >> j
+        frac = (np.arange(period) + 0.5) / period
+        table = np.array([_base_eval(family, kind, frac + m)
+                          for m in range(family.support_width)])
+        table.flags.writeable = False
+        family.grid_tables[key] = table
+    return table
+
+
+@functools.lru_cache(maxsize=8)
+def _readonly_grid(size: int) -> np.ndarray:
+    grid = midpoint_grid(size)
+    grid.flags.writeable = False
+    return grid
+
+
+def _dyadic_grid_size(x: np.ndarray) -> int | None:
+    """N when x is midpoint_grid(N) for a power of two N >= 2, else None."""
+    size = x.size
+    if x.ndim != 1 or size < 2 or size & (size - 1) or x[0] != 0.5 / size:
+        return None
+    return size if np.array_equal(x, _readonly_grid(size)) else None
+
+
 def _level_synth(
-    family: WaveletFamily, kind: str, j: int, coeffs: np.ndarray, x: np.ndarray
+    family: WaveletFamily, kind: str, j: int, coeffs: np.ndarray, x: np.ndarray,
+    grid_size: int | None = None,
 ) -> np.ndarray:
-    """Sum_k coeffs[k] * basis_{j,k}(x), vectorized over x."""
-    out = np.zeros(np.shape(x))
-    for idx, vals in _stencil(family, kind, j, x):
-        out += coeffs[idx] * vals
-        del idx, vals  # free this step's arrays before the stencil makes the next
-    return 2.0 ** (j / 2.0) * out
+    """Sum_k coeffs[..., k] * basis_{j,k}(x) for each row of coeffs, vectorized over x.
+
+    ``grid_size`` says that x is midpoint_grid(grid_size); levels coarser
+    than that grid then gather from its table, with the same products and
+    sums as the pointwise stencil, so the values are bit for bit the same.
+    """
+    two_j = 1 << j
+    rows = coeffs.shape[:-1]
+    if grid_size is not None and two_j < grid_size:
+        period, w = grid_size >> j, family.support_width
+        # ext[..., w - 1 - m + k] = coeffs[..., (k - m) mod 2^j], the shift the stencil gathers
+        ext = np.concatenate((coeffs[..., two_j - w + 1:], coeffs), axis=-1)
+        table = _grid_table(family, kind, j, grid_size)
+        # lay out (shift base, position) with the longer axis innermost, where numpy is fast
+        if period >= two_j:
+            out = np.zeros(rows + (two_j, period))
+            for m, vals in enumerate(table):
+                out += ext[..., w - 1 - m:w - 1 - m + two_j, None] * vals
+        else:
+            out = np.zeros(rows + (period, two_j))
+            for m, vals in enumerate(table):
+                out += vals[:, None] * ext[..., None, w - 1 - m:w - 1 - m + two_j]
+            out = out.swapaxes(-1, -2)
+        out = out.reshape(rows + (grid_size,))
+    else:
+        out = np.zeros(rows + np.shape(x))
+        for idx, vals in _stencil(family, kind, j, x):
+            out += coeffs[..., idx] * vals
+            del idx, vals  # free this step's arrays before the stencil makes the next
+    out *= 2.0 ** (j / 2.0)
+    return out
 
 
 def _level_sums(
@@ -304,15 +374,37 @@ def _level_sums(
     return 2.0 ** (j / 2.0) * sums
 
 
+def synthesize_many(
+    family: WaveletFamily, expansions: list[WaveletExpansion], x: np.ndarray
+) -> np.ndarray:
+    """Row r is the series of ``expansions[r]`` at the points x.
+
+    The expansions must share their levels. Each level's stencil at x is
+    computed once and gathered for all rows, with the same arithmetic per
+    row as a call of ``synthesize_at``.
+    """
+    first = expansions[0]
+    if any(e.tau != first.tau or e.j_max != first.j_max for e in expansions):
+        raise ValueError("expansions must share their levels")
+    x = np.asarray(x, dtype=float)
+    grid_size = _dyadic_grid_size(x)
+    out = _level_synth(family, "scaling", first.tau,
+                       np.array([e.alpha for e in expansions]), x, grid_size)
+    for i, j in enumerate(first.levels()):
+        out += _level_synth(family, "wavelet", j,
+                            np.array([e.beta[i] for e in expansions]), x, grid_size)
+    return out
+
+
 def synthesize_at(
     family: WaveletFamily, expansion: WaveletExpansion, x: np.ndarray
 ) -> np.ndarray:
-    """Evaluate the wavelet series at arbitrary (unsorted) points."""
-    x = np.asarray(x, dtype=float)
-    out = _level_synth(family, "scaling", expansion.tau, expansion.alpha, x)
-    for j, row in zip(expansion.levels(), expansion.beta):
-        out += _level_synth(family, "wavelet", j, row, x)
-    return out
+    """Evaluate the wavelet series at arbitrary (unsorted) points.
+
+    On a midpoint grid of power-of-two size the levels coarser than the grid
+    gather from the family's grid tables, with bit for bit the same values.
+    """
+    return synthesize_many(family, [expansion], x)[0]
 
 
 def analyze_points(

@@ -2,7 +2,9 @@
 
 import dataclasses
 import functools
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +28,8 @@ from multithresh.aggregation import (
 from multithresh.coefficients import DensitySample, RegressionSample, min_rho
 from multithresh.simulate import get_target, sample_density, sample_regression
 from multithresh.thresholding import RULE_KINDS, ThresholdRule
-from multithresh.wavelets import SUPPORTED_FAMILIES, build_family, midpoint_grid, synthesize_at
+from multithresh.wavelets import (SUPPORTED_FAMILIES, build_family, midpoint_grid,
+                                  synthesize_at, synthesize_many)
 
 LN2 = math.log(2.0)
 
@@ -268,6 +271,64 @@ def test_pipeline_deterministic(haar):
     est2, d2 = multi_threshold_estimate(sample, haar, ThresholdRule("soft"), loss, rho=1.0)
     np.testing.assert_array_equal(est1.grid_values, est2.grid_values)
     np.testing.assert_array_equal(d1.risks, d2.risks)
+
+
+@pytest.mark.parametrize("name,model", [("Haar", "density"), ("Daubechies4", "regression")])
+def test_learning_points_share_one_stencil(name, model):
+    # the stencil at the learning points, computed once for all candidates,
+    # gives every candidate the values and the risk of its own synthesis
+    family = build_family(name, 12)
+    target = get_target("triangle", model)
+    if model == "density":
+        sample, loss = sample_density(target, 2048, 4), LossSpec.density(2.0, 2 ** 12)
+    else:
+        sample = sample_regression(target, 2048, "bernoulli", 4)
+        loss = LossSpec.regression(2 ** 12)
+    candidates, diag = multi_threshold_candidates(sample, family, ThresholdRule("hard"), loss,
+                                                  rho=1.0)
+    learn = sample.subset(slice(diag.m, sample.n))
+    shared = synthesize_many(family, [c.expansion for c in candidates], learn.x)
+    for cand, values, risk in zip(candidates, shared, diag.risks):
+        own = synthesize_at(family, cand.expansion, learn.x)
+        assert np.array_equal(values, own)
+        clipped = np.clip(own, 0.0, loss.B)
+        assert empirical_risk(loss, cand.grid_values, clipped, learn) == risk
+
+
+def test_candidates_keep_only_the_grid_tables_they_need():
+    # after the call the family holds the tables of the grid levels it
+    # synthesized and nothing else is left: no learning-point stencil
+    sample = sample_density(get_target("triangle", "density"), 2 ** 15, 8)
+    sizes = (2 ** 8, 2 ** 12)
+    for name in ("Haar", "Daubechies4"):
+        family = build_family(name, 12)
+        for size in sizes:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                candidates, diag = multi_threshold_candidates(
+                    sample, family, ThresholdRule("hard"), LossSpec.density(2.0, size), rho=1.0)
+                gc.collect()
+                retained = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            held = sum(c.grid_values.nbytes + c.plan.t.nbytes + c.expansion.alpha.nbytes
+                       + sum(row.nbytes for row in c.expansion.beta) for c in candidates)
+            tables = [t for (_, _, n), t in family.grid_tables.items() if n == size]
+            held += sum(t.nbytes for t in tables)
+            # a learning-point stencil kept for all levels (int32 shift bases and
+            # float values) would exceed the 64 KiB allowed for Python objects
+            levels = diag.j1 - family.tau + 2
+            stencil = levels * diag.l * (4 + 8 * family.support_width)
+            assert stencil > 2 ** 19
+            assert retained < held + 2 ** 16
+            assert sum(t.size for t in tables) < 3 * size
+        assert set(family.grid_tables) == {
+            (kind, j, size) for size in sizes for kind, j in
+            [("scaling", family.tau)] + [("wavelet", j) for j in range(family.tau, diag.j1 + 1)]
+            if 2 ** j < size
+        }
 
 
 def test_pipeline_erm_scheme_returns_candidate(haar):

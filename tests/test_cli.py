@@ -132,6 +132,8 @@ def test_estimate_sample_too_small_for_split(tmp_path, capsys):
     ["check", "ongle", "--c2", "nan"],
     ["rates", "--universal", "--universal-c", "nan", "--n", "64,128,256", "--out", "r.csv"],
     ["rates", "--universal", "--universal-c", -1, "--n", "64,128,256", "--out", "r.csv"],
+    ["estimate", "--model", "regression", "--B", 7, "--input", "in.txt", "--out", "est.csv"],
+    ["estimate", "--config", "regression-B.cfg", "--input", "in.txt", "--out", "est.csv"],
     # usage errors: a flag the subcommand does not read, an unknown flag, no --out
     ["rates", "--B", 2, "--out", "r.csv"],
     ["check", "constants", "--rule", "soft"],
@@ -146,16 +148,28 @@ def test_estimate_sample_too_small_for_split(tmp_path, capsys):
         "check-oracle-epsilon-nan", "check-deviation-a-text", "check-deviation-a-negative",
         "simulate-seed-negative", "rates-seed-negative", "check-moment-reps-0",
         "check-deviation-reps-0", "check-ongle-c1-nan", "check-ongle-c2-nan",
-        "rates-universal-c-nan", "rates-universal-c-negative", "rates-B-not-read",
+        "rates-universal-c-nan", "rates-universal-c-negative", "estimate-regression-B",
+        "estimate-regression-B-config", "rates-B-not-read",
         "check-constants-rule-not-read", "estimate-seed-not-read", "simulate-family-not-read",
         "unknown-flag", "missing-out", "check-oracle-missing-input"])
 def test_config_errors_exit_1(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "wiggle.cfg").write_text("rule = wiggle\n")
+    (tmp_path / "regression-B.cfg").write_text("model = regression\nB = 7\n")
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+def test_estimate_regression_takes_only_B_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["simulate", "--model", "regression", "--n", 100, "--out", "s.txt"]) == 0
+    estimate = ["estimate", "--model", "regression", "--input", "s.txt", "--out", "est.csv"]
+    assert run([*estimate, "--B", 1]) == 0
+    capsys.readouterr()
+    assert run([*estimate, "--B", 7]) == 1
+    assert "the regression model fixes B = 1" in capsys.readouterr().err
 
 
 def test_uniform_noise_out_of_range_is_config_error(tmp_path, monkeypatch, capsys):

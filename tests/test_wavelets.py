@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from multithresh.wavelets import (
     SUPPORTED_FAMILIES,
     WaveletExpansion,
+    _level_synth,
     analyze,
     build_family,
     eval_periodized,
@@ -266,3 +267,41 @@ def test_synthesis_analysis_adjoint(name, extra, seed):
     a = analyze(family, g, e.j_max, 2 ** 10)
     rhs = float(e.alpha @ a.alpha) + sum(float(c @ b) for c, b in zip(e.beta, a.beta))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Grid tables against the pointwise stencil
+# ---------------------------------------------------------------------------
+
+def pointwise_synth(family, e, x):
+    """Every level through the pointwise stencil: the reference of the grid tables."""
+    out = _level_synth(family, "scaling", e.tau, e.alpha, x)
+    for j, row in zip(e.levels(), e.beta):
+        out += _level_synth(family, "wavelet", j, row, x)
+    return out
+
+
+@pytest.mark.parametrize("size", [2 ** 10, 2 ** 14, 1000])
+@pytest.mark.parametrize("name", SUPPORTED_FAMILIES)
+def test_grid_tables_match_pointwise_stencil(name, size):
+    # j_max below log2 N uses tables on every level; j_max at or above it
+    # leaves the levels with 2^j >= N to the stencil; N = 1000 uses no table
+    family = build_family(name, 12)
+    rng = np.random.default_rng(size)
+    grid = midpoint_grid(size)
+    for j_max in (family.tau + 3, math.ceil(math.log2(size))):
+        e = random_expansion(rng, family.tau, j_max)
+        fast, ref = synthesize_at(family, e, grid), pointwise_synth(family, e, grid)
+        if family.is_haar:
+            assert np.array_equal(fast, ref)
+        else:
+            np.testing.assert_allclose(fast, ref, rtol=0, atol=1e-12)
+        # a grid with one point moved is not the midpoint grid: no table applies
+        moved = grid.copy()
+        moved[-1] = 1.0 - 0.25 / size
+        assert np.array_equal(synthesize_at(family, e, moved), pointwise_synth(family, e, moved))
+    tabled = {j for kind, j, n in family.grid_tables if n == size}
+    if size & (size - 1):
+        assert not tabled
+    else:
+        assert tabled == {j for j in range(family.tau, j_max + 1) if 2 ** j < size}
