@@ -74,10 +74,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+def _write_text(path: Path, text: str) -> None:
+    """Write an output file; a path that cannot be written is a config error (exit 1)."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write_csv(path: Path, header: list[str] | None, rows: list[list] | np.ndarray) -> None:
+    """Write the header line, unless None, and the rows: lists, or a 2-D float array.
+
+    List values go through ``_fmt``. An array goes through one "%.17g" template,
+    which formats every float, -0.0 included, exactly as ``format(v, ".17g")``.
+    """
+    lines = [] if header is None else [",".join(header)]
+    if isinstance(rows, np.ndarray):
+        template = "\n".join([",".join(["%.17g"] * rows.shape[1])] * len(rows))
+        lines.append(template % tuple(rows.ravel().tolist()))
+    else:
+        lines += [",".join(_fmt(v) for v in row) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -133,11 +150,8 @@ def read_sample_file(path: str, model: str):
 
 
 def write_sample_file(path: Path, sample) -> None:
-    if isinstance(sample, DensitySample):
-        lines = [_fmt(float(v)) for v in sample.x]
-    else:
-        lines = [f"{_fmt(float(x))},{_fmt(float(y))}" for x, y in zip(sample.x, sample.y)]
-    path.write_text("\n".join(lines) + "\n")
+    columns = (sample.x,) if isinstance(sample, DensitySample) else (sample.x, sample.y)
+    _write_csv(path, None, np.column_stack(columns))
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +344,8 @@ def cmd_estimate(args) -> int:
     for cand in getattr(estimator, "candidates", []) if args.per_candidate else []:
         header.append(f"candidate_u{cand.u}")
         columns.append(cand.grid_values)
-    rows = [[col[i] for col in columns] for i in range(grid_size)]
     out = Path(args.out)
-    _write_csv(out, header, rows)
+    _write_csv(out, header, np.column_stack(columns))
 
     diag_path = out.with_suffix(out.suffix + ".diag.txt")
     lines = [
@@ -348,7 +361,7 @@ def cmd_estimate(args) -> int:
         "empirical_risks = " + ",".join(_fmt(float(r)) for r in diag.risks),
         "weights = " + ",".join(_fmt(float(w)) for w in diag.weights),
     ]
-    diag_path.write_text("\n".join(lines) + "\n")
+    _write_text(diag_path, "\n".join(lines) + "\n")
     print(f"wrote estimate to {out} and diagnostics to {diag_path}")
     return 0
 

@@ -199,15 +199,19 @@ def _base_eval(family: WaveletFamily, kind: str, z: np.ndarray) -> np.ndarray:
             (z >= 0.0) & (z < 0.5), 1.0,
             np.where((z >= 0.5) & (z < 1.0), -1.0, 0.0),
         )
-    table = family.phi_table if kind == "scaling" else family.psi_table
     out = np.zeros_like(z, dtype=float)
     ok = (z >= 0.0) & (z <= family.support_width)
-    pos = z[ok] * (1 << family.cascade_depth)
-    i0 = np.floor(pos).astype(np.int64)
-    i0 = np.minimum(i0, len(table) - 2)
-    frac = pos - i0
-    out[ok] = table[i0] * (1.0 - frac) + table[i0 + 1] * frac
+    out[ok] = _lerp(family, kind, z[ok])
     return out
+
+
+def _lerp(family: WaveletFamily, kind: str, z: np.ndarray) -> np.ndarray:
+    """Interpolate the generator's cascade table at z in [0, support_width]."""
+    table = family.phi_table if kind == "scaling" else family.psi_table
+    pos = z * (1 << family.cascade_depth)
+    i0 = np.minimum(np.floor(pos).astype(np.int64), len(table) - 2)
+    frac = pos - i0
+    return table[i0] * (1.0 - frac) + table[i0 + 1] * frac
 
 
 def eval_periodized(family: WaveletFamily, kind: str, j: int, k: int, x) -> np.ndarray | float:
@@ -276,8 +280,8 @@ class WaveletExpansion:
 def _stencil(family: WaveletFamily, kind: str, j: int, x: np.ndarray):
     """Yield (shift indices, generator values) of the translates meeting x.
 
-    A point meets only support_width translates per level, so synthesis and
-    its adjoint gather those shifts instead of looping over all 2^j of them.
+    A point meets only support_width translates per level, so synthesis at
+    points gathers those shifts instead of looping over all 2^j of them.
     """
     two_j = 1 << j
     t = two_j * np.mod(x, 1.0)
@@ -360,20 +364,6 @@ def _level_synth(
     return out
 
 
-def _level_sums(
-    family: WaveletFamily, kind: str, j: int, x: np.ndarray, weights: np.ndarray | None
-) -> np.ndarray:
-    """Per-shift sums sum_i w_i * basis_{j,k}(x_i) for all k at level j."""
-    two_j = 1 << j
-    sums = np.zeros(two_j)
-    for idx, vals in _stencil(family, kind, j, x):
-        if weights is not None:
-            vals = vals * weights
-        sums += np.bincount(idx, weights=vals, minlength=two_j)
-        del idx, vals  # free this step's arrays before the stencil makes the next
-    return 2.0 ** (j / 2.0) * sums
-
-
 def synthesize_many(
     family: WaveletFamily, expansions: list[WaveletExpansion], x: np.ndarray
 ) -> np.ndarray:
@@ -414,13 +404,29 @@ def analyze_points(
     """Coefficients (1/n) sum_i w_i phi/psi_{j,k}(x_i) for levels tau..j_max.
 
     The adjoint of synthesis at the points x; ``weights`` None means all ones.
+    Each point's position K = floor(2^J (x mod 1)), J = j_max + 1, is taken
+    once. Scaling by 2^J is exact, so the shift base of level j is exactly
+    K >> (J - j), and the Haar wavelet's sign is bit J - j - 1 of K. The
+    per-shift sums and their order are those of the pointwise stencil.
     """
-    alpha = _level_sums(family, "scaling", family.tau, x, weights) / n
-    beta = [
-        _level_sums(family, "wavelet", j, x, weights) / n
-        for j in range(family.tau, j_max + 1)
-    ]
-    return WaveletExpansion(family.tau, j_max, alpha, beta)
+    top, y = j_max + 1, np.mod(x, 1.0)
+    w = np.ones_like(y) if weights is None else weights
+    pos = np.floor(y * (1 << top)).astype(np.int64)
+    rows = []
+    for kind, j in [("scaling", family.tau), *(("wavelet", j) for j in range(family.tau, top))]:
+        two_j, base = 1 << j, pos >> (top - j)
+        if family.is_haar:
+            sign = 1.0 - 2.0 * ((pos >> (top - j - 1)) & 1) if kind == "wavelet" else 1.0
+            sums = np.bincount(base, weights=sign * w, minlength=two_j)
+        else:
+            frac, sums = y * two_j - base, np.zeros(two_j)
+            for m in range(family.support_width):
+                # vals lives on into the next shift; freed earlier, it let malloc trim the
+                # heap, and each shift paid ~700 page faults to grow it again (n = 60000)
+                vals = _lerp(family, kind, frac + m) * w
+                sums += np.bincount((base - m) & (two_j - 1), weights=vals, minlength=two_j)
+        rows.append(2.0 ** (j / 2.0) * sums / n)
+    return WaveletExpansion(family.tau, j_max, rows[0], rows[1:])
 
 
 def analyze(

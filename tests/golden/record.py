@@ -6,7 +6,7 @@ Usage: PYTHONPATH=src python tests/golden/record.py
 Runs ``simulate``, ``estimate --per-candidate``, ``rates`` and every ``check``
 subcommand at small sizes and writes each output beside this script. The
 golden test calls ``produce`` and compares its outputs with the files:
-Haar outputs byte for byte, Daubechies outputs (names containing "db4")
+Haar outputs byte for byte, Daubechies outputs (names containing "db")
 number by number within 1e-12 absolute. Re-record only for an intended change
 of output.
 """
@@ -60,13 +60,15 @@ def produce(workdir: Path) -> dict[str, bytes]:
     keep("simulate_density.txt", density)
     keep("simulate_regression.txt", regression)
 
-    for name, model, sample, family in [
-        ("estimate_haar", "density", density, "Haar"),
-        ("estimate_db4", "regression", regression, "Daubechies4"),
+    # the 1000-point grid is not dyadic, so it takes the pointwise synthesis path
+    for name, model, sample, family, grid_size in [
+        ("estimate_haar", "density", density, "Haar", 1024),
+        ("estimate_db4", "regression", regression, "Daubechies4", 1024),
+        ("estimate_db8_grid1000", "regression", regression, "Daubechies8", 1000),
     ]:
         est = workdir / f"{name}.csv"
         _run(["estimate", "--model", model, "--family", family, "--rho", "1.0",
-              "--grid-size", 1024, "--per-candidate", "--input", sample, "--out", est])
+              "--grid-size", grid_size, "--per-candidate", "--input", sample, "--out", est])
         keep(f"{name}.csv", est)
         keep(f"{name}.csv.diag.txt", est.with_suffix(".csv.diag.txt"))
 

@@ -162,6 +162,30 @@ def test_config_errors_exit_1(tmp_path, monkeypatch, capsys, argv):
     assert "Traceback" not in err
 
 
+_ESTIMATE_256 = ["estimate", "--input", "s.txt", "--grid-size", 256]
+_RATES_SMALL = ["rates", "--n", "64,128,256", "--reps", 1, "--grid-size", 256]
+
+
+@pytest.mark.parametrize("argv,path", [
+    (["simulate", "--n", 100, "--out", "missing/s.txt"], "missing/s.txt"),
+    ([*_ESTIMATE_256, "--out", "missing/est.csv"], "missing/est.csv"),
+    ([*_ESTIMATE_256, "--out", "est.csv"], "est.csv.diag.txt"),
+    ([*_RATES_SMALL, "--out", "missing/r.csv"], "missing/r.csv"),
+    ([*_RATES_SMALL, "--out", "r.csv"], "r.summary.csv"),
+], ids=["simulate-sample", "estimate-csv", "estimate-sidecar", "rates-rows", "rates-summary"])
+def test_unwritable_output_is_config_error(tmp_path, monkeypatch, capsys, argv, path):
+    # "missing/" is a directory that does not exist; the sidecar and summary paths are directories
+    monkeypatch.chdir(tmp_path)
+    assert run(["simulate", "--n", 100, "--out", "s.txt"]) == 0
+    (tmp_path / "est.csv.diag.txt").mkdir()
+    (tmp_path / "r.summary.csv").mkdir()
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
 def test_estimate_regression_takes_only_B_1(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run(["simulate", "--model", "regression", "--n", 100, "--out", "s.txt"]) == 0
@@ -332,6 +356,38 @@ def test_rows_csv_roundtrip_property(results):
         cli._write_csv(path, list(cli._ROW_COLUMNS), results_to_rows(results, "AEW", "hard"))
         back = rows_to_results(str(path))
     assert back == sorted(results, key=lambda r: (r.model, r.target, r.n, r.rep))
+
+
+# finite floats plus named edge cases: signed zeros, subnormals, integral values, |v| >= 1e16
+_csv_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e16, -123456789012345678.0, 2.0 ** 60, 3.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.lists(_csv_floats, min_size=width, max_size=width), min_size=1, max_size=30)),
+    header=st.booleans())
+def test_float_array_csv_matches_per_value_format(rows, header):
+    names = [f"c{i}" for i in range(len(rows[0]))] if header else None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "floats.csv"
+        cli._write_csv(path, names, np.array(rows))
+        got = path.read_bytes()
+    lines = ([",".join(names)] if header else []) + [
+        ",".join(format(v, ".17g") for v in row) for row in rows]
+    assert got == ("\n".join(lines) + "\n").encode()
+
+
+def test_rows_with_empty_universal_risk_round_trip(tmp_path):
+    base = dict(model="density", target="triangle", n=512, root_seed=9, candidate_risks=(0.5, -0.0),
+                aggregate_risk=0.25, erm_risk=0.5, weights=(1.0, 0.0), chosen_u=0, m=400, l=112,
+                j1=7, rho=1.0)
+    results = [ExperimentResult(rep=0, universal_risk=None, **base),
+               ExperimentResult(rep=1, universal_risk=1e-300, **base)]
+    path = tmp_path / "rows.csv"
+    cli._write_csv(path, list(cli._ROW_COLUMNS), results_to_rows(results, "AEW", "hard"))
+    assert path.read_text().splitlines()[1].endswith(",")
+    assert rows_to_results(str(path)) == results
 
 
 def test_check_constants(capsys):

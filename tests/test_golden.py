@@ -29,7 +29,7 @@ def test_cli_outputs_match_golden_files(tmp_path):
     assert set(outputs) == recorded
     for name, got in sorted(outputs.items()):
         want = (GOLDEN / name).read_bytes()
-        if "db4" in name:
+        if "db" in name:
             assert _numbers_close(got.decode(), want.decode(), 1e-12), name
         else:
             assert got == want, name

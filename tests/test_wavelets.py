@@ -11,7 +11,9 @@ from multithresh.wavelets import (
     SUPPORTED_FAMILIES,
     WaveletExpansion,
     _level_synth,
+    _stencil,
     analyze,
+    analyze_points,
     build_family,
     eval_periodized,
     midpoint_grid,
@@ -305,3 +307,51 @@ def test_grid_tables_match_pointwise_stencil(name, size):
         assert not tabled
     else:
         assert tabled == {j for j in range(family.tau, j_max + 1) if 2 ** j < size}
+
+
+# ---------------------------------------------------------------------------
+# Empirical coefficients against the pointwise stencil
+# ---------------------------------------------------------------------------
+
+def stencil_analysis(family, x, weights, j_max, n):
+    """Per-level rows of (1/n) sum_i w_i basis_{j,k}(x_i), one bincount per stencil shift.
+
+    The reference of ``analyze_points``: each level recomputes mod, floor and
+    the generator through ``_stencil``.
+    """
+    rows = []
+    levels = [("scaling", family.tau)] + [("wavelet", j) for j in range(family.tau, j_max + 1)]
+    for kind, j in levels:
+        sums = np.zeros(1 << j)
+        for idx, vals in _stencil(family, kind, j, x):
+            if weights is not None:
+                vals = vals * weights
+            sums += np.bincount(idx, weights=vals, minlength=1 << j)
+        rows.append(2.0 ** (j / 2.0) * sums / n)
+    return rows
+
+
+@pytest.mark.parametrize("depth", [6, 12])
+@pytest.mark.parametrize("name", SUPPORTED_FAMILIES)
+def test_analyze_points_matches_stencil_reference(name, depth, record_property):
+    family = build_family(name, depth)
+    rng = np.random.default_rng(depth)
+    exact = True
+    for j_max in sorted({family.tau - 1, family.tau, 7, 13}):
+        top = 1 << (j_max + 1)
+        # dyadic points at the finest position, their left neighbours, and the edges
+        dyadic = rng.integers(0, top + 1, 64) / top
+        x = np.concatenate([rng.uniform(size=2000), dyadic, np.nextafter(dyadic, 0.0)[dyadic > 0],
+                            [0.0, 0.5, 1.0 - 2.0 ** -53, 1.0]])
+        for weights in (None, rng.standard_normal(x.size)):
+            got = analyze_points(family, x, weights, j_max, n=x.size)
+            want = stencil_analysis(family, x, weights, j_max, x.size)
+            assert len(got.beta) == len(want) - 1
+            for g, w in zip([got.alpha, *got.beta], want):
+                if family.is_haar:
+                    assert np.array_equal(g.view(np.int64), w.view(np.int64))
+                else:
+                    np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+                exact = exact and np.array_equal(g.view(np.int64), w.view(np.int64))
+    record_property("bit_exact", exact)
+    print(f"{name} depth {depth}: bit-exact {exact}")
