@@ -223,8 +223,8 @@ def multi_threshold_candidates(
     n = data.n
     if rho is None:
         rho = min_rho(loss.B, family.psi_sup, loss.model)
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho}")
 
     if shuffle_split:
         if shuffle_rng is None:

@@ -74,10 +74,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, text: str, mode: str = "w") -> None:
     """Write an output file; a path that cannot be written is a config error (exit 1)."""
     try:
-        path.write_text(text)
+        with open(path, mode) as f:
+            f.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -428,8 +429,14 @@ def cmd_rates(args) -> int:
     if len(config.ns) < 3:
         raise ConfigError("rates needs at least three sample sizes")
 
-    results = monte_carlo(config)
     out = Path(args.out)
+    summary_path = out.with_suffix(".summary.csv")
+    for path in (out, summary_path):  # fail before the Monte Carlo run, leaving no file
+        existed = path.exists()
+        _write_text(path, "", "a")
+        if not existed:
+            path.unlink()
+    results = monte_carlo(config)
     _write_csv(out, list(_ROW_COLUMNS), results_to_rows(results, config.scheme, config.rule))
 
     risk_column = "aggregate_risk" if config.scheme == "AEW" else "erm_risk"
@@ -449,7 +456,6 @@ def cmd_rates(args) -> int:
         u_slope, u_stderr = rate_slope(ns_sorted, u_means)
         summary_header += ["universal_slope", "universal_slope_stderr"]
         summary_row += [u_slope, u_stderr]
-    summary_path = out.with_suffix(".summary.csv")
     _write_csv(summary_path, summary_header, [summary_row])
     print(f"slope = {slope:.4f} +/- {stderr:.4f} (expected {expected:.4f})")
     print(f"wrote rows to {out} and summary to {summary_path}")

@@ -54,8 +54,8 @@ def apply_rule(rule: ThresholdRule, u: float, x):
     soft:    sign(x)(|x| - u) 1{|x| >= u}
     garrote: (x - u^2/x) 1{|x| >= u}
     """
-    if u <= 0.0:
-        raise ValueError("threshold u must be positive")
+    if not u > 0.0:
+        raise ValueError(f"threshold u must be positive, got {u}")
     x_arr = np.asarray(x, dtype=float)
     active = np.abs(x_arr) >= u
     if rule.kind == "hard":
@@ -93,8 +93,8 @@ class ThresholdPlan:
         object.__setattr__(self, "t", t)
         if len(t) != self.j1 - self.tau + 1:
             raise ValueError("plan must hold one threshold per level tau..j1")
-        if np.any(t < 0.0):
-            raise ValueError("thresholds must be nonnegative")
+        if not np.all((t >= 0.0) & (t < math.inf)):
+            raise ValueError("thresholds must be finite and nonnegative")
         if np.any(np.diff(t) < 0.0):
             raise ValueError("thresholds must be nondecreasing in the level")
         levels = np.arange(self.tau, self.j1 + 1)
@@ -121,8 +121,8 @@ def make_plan(rho: float, u: int, tau: int, j1: int, n: int) -> ThresholdPlan:
         raise ValueError(f"invalid level range tau={tau} > j1={j1}")
     if n < 2:
         raise ValueError("n must be at least 2")
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho}")
     levels = np.arange(tau, j1 + 1)
     excess = np.maximum(levels - u, 0)
     t = rho * excess / (2.0 * np.sqrt(n))
@@ -131,8 +131,8 @@ def make_plan(rho: float, u: int, tau: int, j1: int, n: int) -> ThresholdPlan:
 
 def flat_plan(threshold: float, tau: int, j1: int, n: int) -> ThresholdPlan:
     """A level-independent plan (the universal-threshold baseline)."""
-    if threshold < 0.0:
-        raise ValueError("threshold must be nonnegative")
+    if not 0.0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be finite and nonnegative, got {threshold}")
     t = np.full(j1 - tau + 1, float(threshold))
     return ThresholdPlan(u=tau - 1, rho=float(threshold), tau=tau, j1=j1, n=n, t=t)
 
@@ -169,6 +169,11 @@ class OngleReport:
     witness: tuple[float, float, float, float, float] | None = None
 
 
+# x rows per tile: 3 work arrays of 16 x 2001 floats (0.77 MB) stay in L2 on the default grid
+_TILE_ROWS = 16
+_REPORT_ROWS = 512  # a failure's points_checked counts through the end of its 512-row block
+
+
 def verify_ongle(
     rule: ThresholdRule,
     u_grid,
@@ -178,50 +183,45 @@ def verify_ongle(
     """Grid-check |T_u(x) - y|^2 <= c1 (min(|y|, c2 u)^2 + |x-y|^2 1{|x-y| >= u/2}).
 
     Scans x, y over [-search_range, search_range] with the given step for
-    every u in ``u_grid``. Returns a failing witness (x, y, u, lhs, rhs) when
-    the inequality breaks anywhere on the grid.
+    every u in ``u_grid``, 16 x rows at a time so that the work arrays stay in
+    L2 cache. Returns a failing witness (x, y, u, lhs, rhs), at the first
+    failing x row and its smallest y, when the inequality breaks anywhere on
+    the grid. ``points_checked`` counts all (x, y) pairs of each u scanned; at
+    a failing u it counts the x rows through the end of the witness's 512-row block.
     """
     u_grid = np.asarray(u_grid, dtype=float)
-    if xy_grid_step <= 0.0:
-        raise ValueError("grid step must be positive")
-    if search_range < 5.0 * u_grid.max():
-        raise ValueError("search range must cover at least 5x the largest threshold")
+    if not 0.0 < xy_grid_step < math.inf:
+        raise ValueError(f"grid step must be positive and finite, got {xy_grid_step}")
+    if u_grid.ndim != 1 or u_grid.size == 0 or not np.all((u_grid > 0.0) & (u_grid < math.inf)):
+        raise ValueError(f"need a nonempty 1-D grid of positive finite thresholds u, got {u_grid}")
+    if not 5.0 * u_grid.max() <= search_range < math.inf:
+        raise ValueError("search range must be finite and cover at least 5x the largest threshold")
     xs = np.arange(-search_range, search_range + xy_grid_step / 2.0, xy_grid_step)
-    checked = 0
-    block = 512
-    # work arrays shared by every block, so that the scan allocates nothing per block
-    work = np.empty((4, block, len(xs)))
-    mask = np.empty((block, len(xs)), dtype=bool)
-    for u in u_grid:
+    n = len(xs)
+    work = np.empty((3, _TILE_ROWS, n))  # shared by every tile, so no tile allocates
+    mask = np.empty((_TILE_ROWS, n), dtype=bool)
+    for iu, u in enumerate(u_grid):
         transformed = apply_rule(rule, float(u), xs)
         min_term = rule.c1 * np.minimum(np.abs(xs), rule.c2 * u) ** 2
-        for start in range(0, len(xs), block):
-            sl = slice(start, start + block)
-            diff, lhs, rhs, tmp = work[:, : len(xs[sl])]
-            np.subtract(xs[sl][:, None], xs, out=diff)
-            np.subtract(transformed[sl][:, None], xs, out=lhs)
+        for start in range(0, n, _TILE_ROWS):
+            (diff, lhs, rhs), band = work[:, : n - start], mask[: n - start]
+            np.subtract(xs[start:start + _TILE_ROWS, None], xs, out=diff)
+            np.subtract(transformed[start:start + _TILE_ROWS, None], xs, out=lhs)
             lhs **= 2
-            # rhs = min_term + c1 * diff * diff * 1{|diff| >= u/2}, in that order
+            # rhs = c1 diff^2 1{|diff| >= u/2} + min_term, then the slack; zeroing the band gives
+            # the bits of the product with the indicator, as c1 diff^2 is finite and >= 0
+            np.less(np.abs(diff, out=rhs), u / 2.0, out=band)
             np.multiply(diff, rule.c1, out=rhs)
             rhs *= diff
-            rhs *= np.greater_equal(np.abs(diff, out=tmp), u / 2.0, out=mask[: len(diff)])
+            np.copyto(rhs, 0.0, where=band)
             rhs += min_term
-            checked += lhs.size
-            bad = np.greater(lhs, np.multiply(rhs, 1.0 + 1e-12, out=tmp), out=mask[: len(diff)])
-            if bad.any():
-                i, jj = np.argwhere(bad)[0]
-                return OngleReport(
-                    passed=False,
-                    rule_kind=rule.kind,
-                    c1=rule.c1,
-                    c2=rule.c2,
-                    points_checked=checked,
-                    witness=(
-                        float(xs[sl][i]), float(xs[jj]), float(u),
-                        float(lhs[i, jj]), float(rhs[i, jj]),
-                    ),
-                )
-    return OngleReport(
-        passed=True, rule_kind=rule.kind, c1=rule.c1, c2=rule.c2,
-        points_checked=checked,
-    )
+            rhs *= 1.0 + 1e-12
+            if np.greater(lhs, rhs, out=band).any():
+                i, j = np.argwhere(band)[0]
+                row, d = start + i, xs[start + i] - xs[j]
+                rows_checked = min((row // _REPORT_ROWS + 1) * _REPORT_ROWS, n)
+                rhs_at = d * rule.c1 * d * float(abs(d) >= u / 2.0) + min_term[j]  # no slack
+                witness = (float(xs[row]), float(xs[j]), float(u), float(lhs[i, j]), float(rhs_at))
+                return OngleReport(False, rule.kind, rule.c1, rule.c2,
+                                   (iu * n + rows_checked) * n, witness)
+    return OngleReport(True, rule.kind, rule.c1, rule.c2, len(u_grid) * n * n)

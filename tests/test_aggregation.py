@@ -410,3 +410,16 @@ def test_universal_threshold_baseline(haar):
     assert np.all(base.grid_values >= 0.0) and np.all(base.grid_values <= 2.0)
     # flat threshold c sqrt(log n / n) across all levels
     np.testing.assert_allclose(base.plan.t, math.sqrt(math.log(1024) / 1024))
+
+
+def test_nan_threshold_constants_are_rejected(haar):
+    # a NaN rho once failed deep in ThresholdPlan with an unrelated message, and a
+    # NaN c returned the unthresholded estimator
+    sample = sample_density(get_target("triangle", "density"), 256, 1)
+    loss = LossSpec.density(2.0, 2 ** 10)
+    for rho in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match="rho must be positive and finite"):
+            multi_threshold_candidates(sample, haar, ThresholdRule("hard"), loss, rho=rho)
+    for c in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="threshold must be finite and nonnegative"):
+            universal_threshold_estimate(sample, haar, ThresholdRule("hard"), loss, c=c)

@@ -180,10 +180,18 @@ def test_unwritable_output_is_config_error(tmp_path, monkeypatch, capsys, argv, 
     (tmp_path / "est.csv.diag.txt").mkdir()
     (tmp_path / "r.summary.csv").mkdir()
     capsys.readouterr()
+
+    def no_replications(config):
+        raise AssertionError("rates ran its Monte Carlo before checking its output paths")
+
+    # rates probes both of its paths before any replication runs
+    monkeypatch.setattr(cli, "monte_carlo", no_replications)
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write {path}: ")
     assert "Traceback" not in err
+    if argv[0] == "rates":
+        assert not (tmp_path / "r.csv").exists()
 
 
 def test_estimate_regression_takes_only_B_1(tmp_path, monkeypatch, capsys):

@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from multithresh import evaluate
 from multithresh.aggregation import theory_constants
 from multithresh.evaluate import (
+    DeviationReport,
     ExperimentResult,
+    MomentReport,
     MonteCarloConfig,
     check_deviation,
     check_moment,
@@ -18,7 +21,7 @@ from multithresh.evaluate import (
 )
 from multithresh.coefficients import min_rho
 from multithresh.simulate import get_target
-from multithresh.wavelets import build_family
+from multithresh.wavelets import analyze, build_family
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +194,74 @@ def test_check_deviation_monotone_and_a_zero(haar):
     assert report.bounds[0] == 1.0 and freqs[0] <= 1.0
     # z-threshold sqrt(a) keeps plenty of mass, so the 2^(-4a) bound breaks
     assert not report.passed
+
+
+def _looped_check_moment(family, target, levels, ns, reps, root_seed, truth_grid):
+    """check_moment with one sample and one eval_periodized call per replication."""
+    truth = analyze(family, target, max(j for j, _ in levels), truth_grid)
+    moments = []
+    for n in ns:
+        acc = 0.0
+        for rep in range(reps):
+            x = evaluate.sample_density(target, n, evaluate.derive_rng(root_seed, n, rep)).x
+            for (j, k) in levels:
+                beta_hat = float(np.mean(evaluate.eval_periodized(family, "wavelet", j, k, x)))
+                acc += (beta_hat - truth.beta[j - family.tau][k]) ** 4
+        moments.append(acc / (reps * len(levels)))
+    slope, stderr = rate_slope(ns, moments)
+    return MomentReport(ns=tuple(ns), fourth_moments=tuple(moments), slope=slope, stderr=stderr,
+                        band=(-2.3, -1.7), passed=-2.3 <= slope <= -1.7)
+
+
+def _looped_check_deviation(family, target, rho, a_values, n, reps, root_seed, level, truth_grid):
+    """check_deviation with one sample and one eval_periodized call per replication."""
+    j, k = level
+    beta_true = analyze(family, target, j, truth_grid).beta[j - family.tau][k]
+    deviations = np.empty(reps)
+    for rep in range(reps):
+        x = evaluate.sample_density(target, n, evaluate.derive_rng(root_seed, rep)).x
+        beta_hat = float(np.mean(evaluate.eval_periodized(family, "wavelet", j, k, x)))
+        deviations[rep] = 2.0 * math.sqrt(n) * abs(beta_hat - beta_true)
+    freqs = [float(np.mean(deviations >= rho * math.sqrt(a))) for a in a_values]
+    bounds = [2.0 ** (-4.0 * a) for a in np.asarray(a_values, dtype=float)]
+    tols = [3.0 * math.sqrt(b * (1.0 - b) / reps) for b in bounds]
+    return DeviationReport(
+        a_values=tuple(a_values), frequencies=tuple(freqs), bounds=tuple(bounds),
+        tolerances=tuple(tols), rho=rho, n=n, reps=reps,
+        passed=all(f <= b + t for f, b, t in zip(freqs, bounds, tols)))
+
+
+@pytest.mark.parametrize("family_name", ["Haar", "Daubechies4"])
+@pytest.mark.parametrize("reps", [1, 15, 16, 17, 63, 64, 65, 130])
+def test_chunked_replications_match_the_per_replication_loop(monkeypatch, family_name, reps):
+    family = build_family(family_name, 10)
+    target = get_target("bump", "density")
+    calls = []
+
+    def recorded(name):
+        inner = getattr(evaluate, name)
+
+        def wrapper(*args):
+            # a sample_density call is recorded with its n, a derive_rng call with its indices
+            calls.append((name, args[1] if name == "sample_density" else args))
+            return inner(*args)
+        return wrapper
+
+    for name in ("derive_rng", "sample_density"):
+        monkeypatch.setattr(evaluate, name, recorded(name))
+    runs = {}
+    for label, moment, deviation in (
+            ("chunked", check_moment, check_deviation),
+            ("looped", _looped_check_moment, _looped_check_deviation)):
+        calls.clear()
+        reports = (
+            moment(family, target, [(2, 0), (3, 1)], (64, 128, 256), reps, 11, 2 ** 12),
+            deviation(family, target, 2.0, (0.5, 1.0, 2.0), 128, reps, 11, (3, 1), 2 ** 12),
+        )
+        runs[label] = reports, sorted(calls)
+    assert runs["chunked"] == runs["looped"]
+    draws = sum(n for name, n in runs["chunked"][1] if name == "sample_density")
+    assert draws == reps * (64 + 128 + 256 + 128)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Thresholding rules, plans, and the quadratic stability condition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multithresh.thresholding import (
+    OngleReport,
     ThresholdPlan,
     ThresholdRule,
     apply_rule,
@@ -177,3 +180,133 @@ def test_verify_ongle_validates_range():
         verify_ongle(RULES[0], (0.1, 2.0), 0.1, 5.0)  # range < 5 * max(u)
     with pytest.raises(ValueError):
         verify_ongle(RULES[0], (0.1,), -0.1, 10.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("u_grid,step,search_range,match", [
+    ((), 0.1, 10.0, "nonempty 1-D grid"),
+    (0.5, 0.1, 10.0, "nonempty 1-D grid"),
+    ((NAN,), 0.1, 10.0, "positive finite thresholds"),
+    ((0.1, NAN), 0.1, 10.0, "positive finite thresholds"),
+    ((0.0,), 0.1, 10.0, "positive finite thresholds"),
+    ((-1.0,), 0.1, 10.0, "positive finite thresholds"),
+    ((INF,), 0.1, 10.0, "positive finite thresholds"),
+    ((0.1,), NAN, 10.0, "grid step must be positive and finite"),
+    ((0.1,), 0.0, 10.0, "grid step must be positive and finite"),
+    ((0.1,), INF, 10.0, "grid step must be positive and finite"),
+    ((0.1,), 0.1, NAN, "search range must be finite"),
+    ((0.1,), 0.1, INF, "search range must be finite"),
+    ((0.1,), 0.1, -10.0, "search range must be finite"),
+])
+def test_verify_ongle_rejects_grids_that_are_not_finite_and_positive(u_grid, step, search_range,
+                                                                      match):
+    # a NaN u once passed every point: all comparisons with NaN are False
+    with pytest.raises(ValueError, match=match):
+        verify_ongle(ThresholdRule("hard", 0.0, 0.0), u_grid, step, search_range)
+
+
+def test_nan_thresholds_are_rejected_where_they_enter():
+    rule = ThresholdRule("hard")
+    with pytest.raises(ValueError, match="threshold u must be positive"):
+        apply_rule(rule, NAN, np.array([0.5, 2.0]))
+    for rho in (NAN, INF, 0.0):
+        with pytest.raises(ValueError, match="rho must be positive and finite"):
+            make_plan(rho, 1, 0, 3, 100)
+    for threshold in (NAN, INF, -0.1):
+        with pytest.raises(ValueError, match="threshold must be finite and nonnegative"):
+            flat_plan(threshold, 0, 3, 100)
+    for bad in (NAN, INF):
+        with pytest.raises(ValueError, match="thresholds must be finite and nonnegative"):
+            ThresholdPlan(u=-1, rho=1.0, tau=0, j1=2, n=16, t=np.array([0.1, 0.2, bad]))
+
+
+# ---------------------------------------------------------------------------
+# Tiled stability scan against the 512-row block scan it replaced
+# ---------------------------------------------------------------------------
+
+def _block_verify_ongle(rule, u_grid, xy_grid_step, search_range):
+    """The 512-row block scan, kept here as the reference for the tiled scan."""
+    u_grid = np.asarray(u_grid, dtype=float)
+    xs = np.arange(-search_range, search_range + xy_grid_step / 2.0, xy_grid_step)
+    checked = 0
+    block = 512
+    work = np.empty((4, block, len(xs)))
+    mask = np.empty((block, len(xs)), dtype=bool)
+    for u in u_grid:
+        transformed = apply_rule(rule, float(u), xs)
+        min_term = rule.c1 * np.minimum(np.abs(xs), rule.c2 * u) ** 2
+        for start in range(0, len(xs), block):
+            sl = slice(start, start + block)
+            diff, lhs, rhs, tmp = work[:, : len(xs[sl])]
+            np.subtract(xs[sl][:, None], xs, out=diff)
+            np.subtract(transformed[sl][:, None], xs, out=lhs)
+            lhs **= 2
+            np.multiply(diff, rule.c1, out=rhs)
+            rhs *= diff
+            rhs *= np.greater_equal(np.abs(diff, out=tmp), u / 2.0, out=mask[: len(diff)])
+            rhs += min_term
+            checked += lhs.size
+            bad = np.greater(lhs, np.multiply(rhs, 1.0 + 1e-12, out=tmp), out=mask[: len(diff)])
+            if bad.any():
+                i, jj = np.argwhere(bad)[0]
+                return OngleReport(
+                    passed=False, rule_kind=rule.kind, c1=rule.c1, c2=rule.c2,
+                    points_checked=checked,
+                    witness=(float(xs[sl][i]), float(xs[jj]), float(u),
+                             float(lhs[i, jj]), float(rhs[i, jj])),
+                )
+    return OngleReport(passed=True, rule_kind=rule.kind, c1=rule.c1, c2=rule.c2,
+                       points_checked=checked)
+
+
+U_GRID = (0.1, 0.5, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("rule,u_grid,step,failing_row", [
+    # the certified defaults pass
+    *[(rule, U_GRID, 0.05, None) for rule in RULES],
+    # grid sizes 668 and 287: no multiple of the 16-row tile or the 512-row block
+    (RULES[0], U_GRID, 0.03, None),
+    (RULES[2], U_GRID, 0.07, None),
+    # first block (the golden `check ongle --c1 0.5` failure), then a later block
+    (ThresholdRule("hard", 0.5, 2.0), U_GRID, 0.01, 0),
+    (ThresholdRule("hard", 2.0, 1.0), (1.0,), 0.01, 901),
+    (ThresholdRule("hard", 2.0, 1.0), U_GRID, 0.01, 1010),
+    (ThresholdRule("hard", 2.0, 1.0), (1.0,), 0.03, 301),
+    # a later u; the step-0.5 grid puts |x - y| exactly on the band edge u/2
+    (ThresholdRule("soft", 6.0, 0.5), U_GRID, 0.05, 3),
+    (ThresholdRule("garrote", 6.0, 0.5), U_GRID, 0.07, 134),
+    (ThresholdRule("hard", 1.0, 0.0), (0.1, 1.0), 0.5, 19),
+    # c1 = 0
+    (ThresholdRule("hard", 0.0, 2.0), (0.5, 1.0), 0.1, 0),
+    (ThresholdRule("soft", 0.0, 0.0), (0.1,), 0.03, 0),
+])
+def test_tiled_scan_reports_as_the_block_scan(rule, u_grid, step, failing_row):
+    report = verify_ongle(rule, u_grid, step, 10.0)
+    assert report == _block_verify_ongle(rule, u_grid, step, 10.0)
+    assert report.passed == (failing_row is None)
+    if failing_row is not None:
+        assert report.witness[0] == np.arange(-10.0, 10.0 + step / 2.0, step)[failing_row]
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["hard", "soft", "garrote"]),
+       c1=st.floats(0.0, 10.0), c2=st.floats(0.0, 3.0),
+       step=st.sampled_from([0.05, 0.07, 0.1, 0.13, 0.25, 0.5]))
+def test_tiled_scan_reports_as_the_block_scan_property(kind, c1, c2, step):
+    rule = ThresholdRule(kind, c1, c2)
+    assert verify_ongle(rule, U_GRID, step, 10.0) == _block_verify_ongle(rule, U_GRID, step, 10.0)
+
+
+def test_verify_ongle_working_set_stays_in_cache():
+    # the 512-row block scan held about 33 MB of work arrays on this grid
+    tracemalloc.start()
+    try:
+        report = verify_ongle(RULES[0], U_GRID, 0.01, 10.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 2_000_000
