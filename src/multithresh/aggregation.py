@@ -209,8 +209,6 @@ def multi_threshold_candidates(
     rule: ThresholdRule,
     loss: LossSpec,
     rho: float | None = None,
-    shuffle_split: bool = False,
-    shuffle_rng: np.random.Generator | None = None,
 ) -> tuple[list[CandidateEstimator], AggregationDiagnostics]:
     """Build and score one clipped thresholded candidate per level offset.
 
@@ -225,11 +223,6 @@ def multi_threshold_candidates(
         rho = min_rho(loss.B, family.psi_sup, loss.model)
     if not 0.0 < rho < math.inf:
         raise ValueError(f"rho must be positive and finite, got {rho}")
-
-    if shuffle_split:
-        if shuffle_rng is None:
-            raise ValueError("shuffle_split requires a generator")
-        data = data.subset(shuffle_rng.permutation(n))
 
     m, l = split_sample(n)
     train = data.subset(slice(0, m))
@@ -267,8 +260,6 @@ def multi_threshold_estimate(
     loss: LossSpec,
     rho: float | None = None,
     scheme: str = "AEW",
-    shuffle_split: bool = False,
-    shuffle_rng: np.random.Generator | None = None,
 ):
     """Build, score and combine one thresholded candidate per level offset.
 
@@ -276,15 +267,11 @@ def multi_threshold_estimate(
     exponential-weights mixture (scheme "AEW") or the empirical-risk
     minimizer (scheme "ERM"). ``rho`` defaults to the smallest constant
     satisfying the model's deviation condition; pass a smaller value for
-    less conservative thresholds. The optional shuffled split permutes the
-    sample before the deterministic first-m / last-l split.
+    less conservative thresholds.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    candidates, diag = multi_threshold_candidates(
-        data, family, rule, loss, rho=rho,
-        shuffle_split=shuffle_split, shuffle_rng=shuffle_rng,
-    )
+    candidates, diag = multi_threshold_candidates(data, family, rule, loss, rho=rho)
     if scheme == "ERM":
         return candidates[diag.erm_index], diag
     return aggregate_mixture(candidates, diag.weights, loss), diag

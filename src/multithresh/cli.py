@@ -42,6 +42,7 @@ from .evaluate import (
     ExperimentResult,
     MonteCarloConfig,
     check_deviation,
+    check_levels,
     check_moment,
     mean_risk_by_n,
     monte_carlo,
@@ -208,6 +209,7 @@ class _Key(NamedTuple):
 
 _ESTIMATORS = ("estimate", "rates")
 _SAMPLING_CHECKS = ("check moment", "check deviation")  # both run in the density model
+_CHECK_LEVELS = {"check moment": ((2, 0), (3, 1)), "check deviation": ((3, 0),)}  # (j, k) tested
 _KEYS = {
     "model": _Key(_choice(MODELS), "density", ("simulate", *_ESTIMATORS)),
     "target": _Key(str, "uniform", ("simulate", "rates", *_SAMPLING_CHECKS),
@@ -282,14 +284,16 @@ def _setup(args) -> Setup:
     The key parsers check each value alone; the objects check what depends
     on several keys (the target name and the model, the noise range and the
     regression target, the density bound and the model, the sample sizes
-    and the train/learn split). This is the only place where a ValueError
-    becomes a ConfigError, so every invalid config value exits 1 with a
-    message.
+    and the train/learn split or a slope's three distinct sizes, the checked
+    levels and tau). This is the only place where a ValueError becomes a
+    ConfigError, so every invalid config value exits 1 before any work.
     """
     try:
         cfg = _config(args)
         if args.command in ("simulate", "check deviation") and len(cfg["n"]) > 1:
             raise ValueError(f"n: expected one sample size, got {cfg['n']}")
+        if args.command in ("rates", "check moment") and len(set(cfg["n"])) < 3:
+            raise ValueError(f"n: expected at least three distinct sample sizes, got {cfg['n']}")
         model = cfg.get("model", "density")  # the checks run in the density model
         target = get_target(cfg["target"], model) if "target" in cfg else None
         if model == "regression" and "noise" in cfg:
@@ -298,10 +302,13 @@ def _setup(args) -> Setup:
             if cfg["B"] is None:
                 cfg["B"] = 2.0 if model == "density" else 1.0
             check_model_bound(model, cfg["B"])
+        family = build_family(cfg["family"], cfg["cascade_depth"]) if "family" in cfg else None
+        if args.command in _CHECK_LEVELS:
+            check_levels(family, _CHECK_LEVELS[args.command])
         return Setup(
             cfg=cfg,
             target=target,
-            family=build_family(cfg["family"], cfg["cascade_depth"]) if "family" in cfg else None,
+            family=family,
             monte_carlo=MonteCarloConfig(
                 model=model, target=cfg["target"], ns=cfg["n"], reps=cfg["reps"],
                 root_seed=cfg["seed"], family=cfg["family"],
@@ -426,9 +433,6 @@ def rows_to_results(path: str) -> list[ExperimentResult]:
 def cmd_rates(args) -> int:
     setup = _setup(args)
     config = setup.monte_carlo
-    if len(config.ns) < 3:
-        raise ConfigError("rates needs at least three sample sizes")
-
     out = Path(args.out)
     summary_path = out.with_suffix(".summary.csv")
     for path in (out, summary_path):  # fail before the Monte Carlo run, leaving no file
@@ -440,7 +444,7 @@ def cmd_rates(args) -> int:
     _write_csv(out, list(_ROW_COLUMNS), results_to_rows(results, config.scheme, config.rule))
 
     risk_column = "aggregate_risk" if config.scheme == "AEW" else "erm_risk"
-    ns_sorted, means, _ = mean_risk_by_n(results, risk_column)
+    ns_sorted, means = mean_risk_by_n(results, risk_column)
     slope, stderr = rate_slope(ns_sorted, means)
     s = setup.target.smoothness[0]
     expected = -1.0 if math.isinf(s) else -2.0 * s / (2.0 * s + 1.0)
@@ -452,7 +456,7 @@ def cmd_rates(args) -> int:
         config.reps, ";".join(str(n) for n in ns_sorted), slope, stderr, expected,
     ]
     if config.include_universal:
-        _, u_means, _ = mean_risk_by_n(results, "universal_risk")
+        _, u_means = mean_risk_by_n(results, "universal_risk")
         u_slope, u_stderr = rate_slope(ns_sorted, u_means)
         summary_header += ["universal_slope", "universal_slope_stderr"]
         summary_row += [u_slope, u_stderr]
@@ -492,8 +496,8 @@ def _check_ongle(args) -> int:
 
 def _check_moment(args) -> int:
     setup = _setup(args)
-    report = check_moment(setup.family, setup.target, [(2, 0), (3, 1)], setup.cfg["n"],
-                          setup.cfg["reps"], setup.cfg["seed"])
+    report = check_moment(setup.family, setup.target, _CHECK_LEVELS["check moment"],
+                          setup.cfg["n"], setup.cfg["reps"], setup.cfg["seed"])
     for n, m4 in zip(report.ns, report.fourth_moments):
         print(f"n = {n}: E|beta_hat - beta|^4 = {_fmt(m4)}")
     print(f"slope = {report.slope:.4f} +/- {report.stderr:.4f}, band {report.band}")
@@ -505,7 +509,7 @@ def _check_deviation(args) -> int:
     rho = setup.cfg["rho"] if setup.cfg["rho"] is not None \
         else min_rho(max(1.0, setup.target.bound), setup.family.psi_sup, "density")
     report = check_deviation(setup.family, setup.target, rho, setup.cfg["a"], setup.cfg["n"][0],
-                             setup.cfg["reps"], setup.cfg["seed"])
+                             setup.cfg["reps"], setup.cfg["seed"], *_CHECK_LEVELS[args.command])
     for a, f, b, t in zip(report.a_values, report.frequencies,
                           report.bounds, report.tolerances):
         print(f"a = {a}: frequency = {_fmt(f)}, bound = {_fmt(b)} (+3se {_fmt(t)})")

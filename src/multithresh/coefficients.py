@@ -40,7 +40,7 @@ class DensitySample:
     def n(self) -> int:
         return len(self.x)
 
-    def subset(self, index: slice | np.ndarray) -> "DensitySample":
+    def subset(self, index: slice) -> "DensitySample":
         return DensitySample(self.x[index])
 
 
@@ -67,7 +67,7 @@ class RegressionSample:
     def n(self) -> int:
         return len(self.x)
 
-    def subset(self, index: slice | np.ndarray) -> "RegressionSample":
+    def subset(self, index: slice) -> "RegressionSample":
         return RegressionSample(self.x[index], self.y[index])
 
 

@@ -42,8 +42,7 @@ def rate_slope(ns, mean_risks) -> tuple[float, float]:
         raise ValueError("degenerate design: all sample sizes equal")
     slope = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
     resid = y - (y.mean() + slope * (x - x.mean()))
-    dof = len(ns) - 2
-    stderr = float(np.sqrt(np.sum(resid ** 2) / dof / sxx)) if dof > 0 else 0.0
+    stderr = float(np.sqrt(np.sum(resid ** 2) / (len(ns) - 2) / sxx))
     return slope, stderr
 
 
@@ -167,21 +166,16 @@ def monte_carlo(config: MonteCarloConfig) -> list[ExperimentResult]:
 
 
 def mean_risk_by_n(results, column: str = "aggregate_risk"):
-    """Per-sample-size mean and standard error of one risk column."""
+    """The sorted sample sizes and the mean of one risk column at each."""
     ns = sorted({r.n for r in results})
-    means, stderrs = [], []
-    for n in ns:
-        vals = np.array([getattr(r, column) for r in results if r.n == n], dtype=float)
-        means.append(float(vals.mean()))
-        stderrs.append(float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0)
-    return ns, means, stderrs
+    return ns, [float(np.mean([getattr(r, column) for r in results if r.n == n])) for n in ns]
 
 
 # ---------------------------------------------------------------------------
 # Hypothesis checks
 # ---------------------------------------------------------------------------
 
-# replications stacked into one (chunk, n) array; 64 took as long and 5 MB more peak memory
+# replications stacked into one (chunk, n) array; larger chunks only raise peak memory
 _CHUNK_REPS = 16
 
 
@@ -199,6 +193,14 @@ def _empirical_coeffs(family, target, levels, n, streams) -> np.ndarray:
             out[start:start + len(chunk), col] = np.mean(
                 eval_periodized(family, "wavelet", j, k, x), axis=1)
     return out
+
+
+def check_levels(family: WaveletFamily, levels) -> None:
+    """Require tau <= j and 0 <= k < 2^j of every wavelet index (j, k) in ``levels``."""
+    for j, k in levels:
+        if not (family.tau <= j and 0 <= k < (1 << j)):
+            raise ValueError(f"wavelet index (j, k) = ({j}, {k}) needs tau <= j and "
+                             f"0 <= k < 2^j; tau = {family.tau} for {family.name}")
 
 
 @dataclass(frozen=True)
@@ -234,6 +236,7 @@ def check_moment(
     if reps < 1:
         raise ValueError("reps must be at least 1")
     levels = [(int(j), int(k)) for j, k in levels]
+    check_levels(family, levels)
     j_top = max(j for j, _ in levels)
     truth = analyze(family, target, j_top, truth_grid)
     true_beta = [truth.beta[j - family.tau][k] for j, k in levels]
@@ -295,6 +298,7 @@ def check_deviation(
     if reps < 1:
         raise ValueError("reps must be at least 1")
     a_values = np.asarray(a_values, dtype=float)
+    check_levels(family, [level])
     j, k = level
     truth = analyze(family, target, j, truth_grid)
     beta_true = truth.beta[j - family.tau][k]

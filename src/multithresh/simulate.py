@@ -20,8 +20,10 @@ from typing import Callable
 import numpy as np
 
 from .coefficients import MIN_SAMPLE_SIZE, DensitySample, RegressionSample
+from .wavelets import midpoint_grid
 
 AUDIT_GRID_SIZE = 2 ** 16
+UNIFORM_NOISE_DELTA = 0.1  # half-width of the uniform regression noise U[-delta, delta]
 
 
 def derive_rng(root_seed: int, *indices: int) -> np.random.Generator:
@@ -45,17 +47,6 @@ class TargetFunction:
 
     def __call__(self, x) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
-
-    def audit(self) -> None:
-        """Check the range and, for densities, unit mass on a fine grid."""
-        grid = (np.arange(AUDIT_GRID_SIZE) + 0.5) / AUDIT_GRID_SIZE
-        vals = self(grid)
-        if np.any(vals < 0.0) or np.any(vals > self.bound + 1e-12):
-            raise ValueError(f"target {self.name!r} leaves [0, {self.bound}]")
-        if self.is_density:
-            mass = float(vals.mean())
-            if abs(mass - 1.0) > 1e-3:
-                raise ValueError(f"target {self.name!r} has mass {mass}, expected 1")
 
 
 def _uniform(x):
@@ -141,20 +132,20 @@ def sample_density(
     return DensitySample(out)
 
 
-def check_noise(target: TargetFunction, noise: str, delta: float = 0.1) -> None:
+def check_noise(target: TargetFunction, noise: str) -> None:
     """Check that the noise keeps the responses Y of the target in [0, 1].
 
     ``noise`` is "bernoulli" (Y | X ~ Bernoulli(f(X)), requires f in [0, 1])
-    or "uniform" (Y = f(X) + U[-delta, delta], requires f in [delta, 1-delta]),
-    each checked on the audit grid.
+    or "uniform" (Y = f(X) + U[-delta, delta] with delta = UNIFORM_NOISE_DELTA,
+    requires f in [delta, 1-delta]), each checked on the audit grid.
     """
     if noise == "bernoulli":
         lo, hi = 0.0, 1.0
     elif noise == "uniform":
-        lo, hi = delta, 1.0 - delta
+        lo, hi = UNIFORM_NOISE_DELTA, 1.0 - UNIFORM_NOISE_DELTA
     else:
         raise ValueError(f"unknown noise kind {noise!r}")
-    fvals = target((np.arange(AUDIT_GRID_SIZE) + 0.5) / AUDIT_GRID_SIZE)
+    fvals = target(midpoint_grid(AUDIT_GRID_SIZE))
     if np.any(fvals < lo) or np.any(fvals > hi):
         raise ValueError(f"{noise} noise requires target values in [{lo}, {hi}]; "
                          f"{target.name!r} leaves that range")
@@ -165,17 +156,16 @@ def sample_regression(
     n: int,
     noise: str,
     seed: int | np.random.Generator,
-    delta: float = 0.1,
 ) -> RegressionSample:
     """n pairs with uniform design and mean-zero bounded noise (see ``check_noise``)."""
     if n < MIN_SAMPLE_SIZE:
         raise ValueError(f"n must be at least {MIN_SAMPLE_SIZE}, got {n}")
-    check_noise(target, noise, delta)
+    check_noise(target, noise)
     rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed)
     x = rng.uniform(size=n)
     mean = target(x)
     if noise == "bernoulli":
         y = (rng.uniform(size=n) < mean).astype(float)
     else:
-        y = mean + rng.uniform(-delta, delta, size=n)
+        y = mean + rng.uniform(-UNIFORM_NOISE_DELTA, UNIFORM_NOISE_DELTA, size=n)
     return RegressionSample(x, y)

@@ -137,14 +137,6 @@ def _cascade_tables(h: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
     return phi, psi
 
 
-def _haar_tables(depth: int) -> tuple[np.ndarray, np.ndarray]:
-    n_tab = (1 << depth) + 1
-    x = np.arange(n_tab) / (1 << depth)
-    phi = np.where(x < 1.0, 1.0, 0.0)
-    psi = np.where(x < 0.5, 1.0, np.where(x < 1.0, -1.0, 0.0))
-    return phi, psi
-
-
 def build_family(name: str, cascade_depth: int = 12) -> WaveletFamily:
     """Construct a wavelet family with precomputed dyadic evaluation tables.
 
@@ -166,13 +158,9 @@ def build_family(name: str, cascade_depth: int = 12) -> WaveletFamily:
     tau = 0
     while (1 << tau) < support_width:
         tau += 1
-    haar = support_width == 1
-    if haar:
-        phi_table, psi_table = _haar_tables(cascade_depth)
-        psi_sup = 1.0
-    else:
-        phi_table, psi_table = _cascade_tables(h, cascade_depth)
-        psi_sup = float(np.abs(psi_table).max()) * 1.01
+    phi_table, psi_table = _cascade_tables(h, cascade_depth)
+    # Haar is evaluated in closed form, where sup |psi| is exactly 1
+    psi_sup = 1.0 if support_width == 1 else float(np.abs(psi_table).max()) * 1.01
     return WaveletFamily(
         name=name,
         lowpass=h,
@@ -369,15 +357,17 @@ def synthesize_many(
 ) -> np.ndarray:
     """Row r is the series of ``expansions[r]`` at the points x.
 
-    The expansions must share their levels. Each level's stencil at x is
-    computed once and gathered for all rows, with the same arithmetic per
-    row as a call of ``synthesize_at``.
+    The expansions must share their levels, and x must be finite. Each level's
+    stencil at x is computed once and gathered for all rows, with the same
+    arithmetic per row as a call of ``synthesize_at``.
     """
     first = expansions[0]
     if any(e.tau != first.tau or e.j_max != first.j_max for e in expansions):
         raise ValueError("expansions must share their levels")
     x = np.asarray(x, dtype=float)
     grid_size = _dyadic_grid_size(x)
+    if grid_size is None and not np.isfinite(x).all():
+        raise ValueError("synthesis points must be finite")
     out = _level_synth(family, "scaling", first.tau,
                        np.array([e.alpha for e in expansions]), x, grid_size)
     for i, j in enumerate(first.levels()):
@@ -389,7 +379,7 @@ def synthesize_many(
 def synthesize_at(
     family: WaveletFamily, expansion: WaveletExpansion, x: np.ndarray
 ) -> np.ndarray:
-    """Evaluate the wavelet series at arbitrary (unsorted) points.
+    """Evaluate the wavelet series at arbitrary (unsorted) finite points.
 
     On a midpoint grid of power-of-two size the levels coarser than the grid
     gather from the family's grid tables, with bit for bit the same values.

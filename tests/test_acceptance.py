@@ -217,9 +217,9 @@ def test_criterion_7_rate_reproduction():
         cfg = MonteCarloConfig(model=model, target="triangle", ns=ns, reps=100,
                                rho=1.0, root_seed=71, include_universal=True)
         results = monte_carlo(cfg)
-        ns_sorted, means, _ = mean_risk_by_n(results, "aggregate_risk")
+        ns_sorted, means = mean_risk_by_n(results, "aggregate_risk")
         slope, stderr = rate_slope(ns_sorted, means)
-        _, u_means, _ = mean_risk_by_n(results, "universal_risk")
+        _, u_means = mean_risk_by_n(results, "universal_risk")
         u_slope, u_stderr = rate_slope(ns_sorted, u_means)
         in_band = -0.80 <= slope <= -0.52
         at_least_as_steep = slope <= u_slope + math.hypot(stderr, u_stderr)

@@ -341,18 +341,6 @@ def test_pipeline_erm_scheme_returns_candidate(haar):
         multi_threshold_estimate(sample, haar, ThresholdRule("hard"), loss, scheme="best")
 
 
-def test_pipeline_shuffle_split(haar):
-    sample = sample_density(get_target("triangle", "density"), 256, 21)
-    loss = LossSpec.density(2.0, 2 ** 12)
-    rng = np.random.default_rng(0)
-    est, diag = multi_threshold_estimate(
-        sample, haar, ThresholdRule("hard"), loss, shuffle_split=True, shuffle_rng=rng)
-    assert abs(diag.weights.sum() - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        multi_threshold_estimate(sample, haar, ThresholdRule("hard"), loss,
-                                 shuffle_split=True)
-
-
 def test_pipeline_model_mismatch(haar):
     sample = sample_density(get_target("triangle", "density"), 256, 2)
     with pytest.raises(ValueError):

@@ -109,6 +109,10 @@ def test_estimate_sample_too_small_for_split(tmp_path, capsys):
     assert "data error:" in err and "n = 40" in err and "at least 62" in err
 
 
+def _no_work(*args):
+    raise AssertionError("the subcommand started work before rejecting its config")
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate", "--family", "Foo", "--input", "in.txt", "--out", "est.csv"],
     ["estimate", "--config", "wiggle.cfg", "--input", "in.txt", "--out", "est.csv"],
@@ -142,6 +146,11 @@ def test_estimate_sample_too_small_for_split(tmp_path, capsys):
     ["simulate", "--wiggle", 1, "--out", "s.txt"],
     ["simulate"],
     ["check", "oracle"],
+    # a slope needs three distinct sample sizes; these failed after all replications
+    ["rates", "--n", "512,512,512", "--out", "r.csv"],
+    ["rates", "--n", "512,1024,512", "--out", "r.csv"],
+    ["check", "moment", "--n", "256,1024"],
+    ["check", "moment", "--n", "256,256,256"],
 ], ids=["estimate-family", "estimate-config-rule", "check-moment-family", "simulate-n-8",
         "simulate-n-list", "rates-n-below-split", "rates-config-rule", "check-constants-c-0",
         "check-constants-c-nan", "check-constants-K", "check-oracle-epsilon-0",
@@ -151,14 +160,32 @@ def test_estimate_sample_too_small_for_split(tmp_path, capsys):
         "rates-universal-c-nan", "rates-universal-c-negative", "estimate-regression-B",
         "estimate-regression-B-config", "rates-B-not-read",
         "check-constants-rule-not-read", "estimate-seed-not-read", "simulate-family-not-read",
-        "unknown-flag", "missing-out", "check-oracle-missing-input"])
+        "unknown-flag", "missing-out", "check-oracle-missing-input", "rates-n-repeated",
+        "rates-n-two-distinct", "check-moment-n-two", "check-moment-n-repeated"])
 def test_config_errors_exit_1(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "wiggle.cfg").write_text("rule = wiggle\n")
     (tmp_path / "regression-B.cfg").write_text("model = regression\nB = 7\n")
+    for work in ("monte_carlo", "check_moment", "check_deviation"):
+        monkeypatch.setattr(cli, work, _no_work)
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["regression-B.cfg", "wiggle.cfg"]
+
+
+@pytest.mark.parametrize("check,family,tau", [
+    ("moment", "Daubechies6", 3), ("moment", "Daubechies8", 3), ("moment", "Daubechies10", 4),
+    ("deviation", "Daubechies10", 4),
+])
+def test_check_levels_below_tau_are_config_errors(monkeypatch, capsys, check, family, tau):
+    for work in ("check_moment", "check_deviation"):
+        monkeypatch.setattr(cli, work, _no_work)
+    assert run(["check", check, "--family", family]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: wavelet index (j, k) = (")
+    assert f"needs tau <= j and 0 <= k < 2^j; tau = {tau} for {family}" in err
     assert "Traceback" not in err
 
 

@@ -119,10 +119,11 @@ def test_mean_risk_by_n():
     cfg = MonteCarloConfig(model="density", target="uniform", ns=(128, 256), reps=4,
                            rho=2.0, grid_size=2 ** 12)
     rows = monte_carlo(cfg)
-    ns, means, ses = mean_risk_by_n(rows, "aggregate_risk")
+    ns, means = mean_risk_by_n(rows, "aggregate_risk")
     assert ns == [128, 256]
     assert all(m >= 0 for m in means)
-    assert all(s >= 0 for s in ses)
+    for n, mean in zip(ns, means):
+        assert mean == np.mean([r.aggregate_risk for r in rows if r.n == n])
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +171,29 @@ def test_checks_reject_zero_reps_and_bad_rho(haar):
     for rho in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="rho"):
             check_deviation(haar, uniform, rho, (1.0,), 128, 10)
+
+
+@pytest.mark.parametrize("levels,bad", [
+    ([(2, 0), (3, 1)], (2, 0)), ([(3, 1), (2, 0)], (2, 0)),
+    ([(3, 8)], (3, 8)), ([(3, -1)], (3, -1)),
+], ids=["below-tau", "below-tau-second", "k-too-large", "k-negative"])
+def test_checks_validate_levels_before_sampling(monkeypatch, levels, bad):
+    def no_sampling(*args):
+        raise AssertionError("a check sampled before validating its levels")
+
+    monkeypatch.setattr(evaluate, "sample_density", no_sampling)
+    monkeypatch.setattr(evaluate, "analyze", no_sampling)
+    db6, uniform = build_family("Daubechies6", 8), get_target("uniform", "density")  # tau = 3
+    match = (rf"\(j, k\) = \({bad[0]}, {bad[1]}\) needs tau <= j and 0 <= k < 2\^j; "
+             r"tau = 3 for Daubechies6")
+    with pytest.raises(ValueError, match=match):
+        check_moment(db6, uniform, levels, (256, 1024, 4096), 10)
+    if len(levels) == 1:
+        with pytest.raises(ValueError, match=match):
+            check_deviation(db6, uniform, 2.0, (1.0,), 128, 10, level=levels[0])
+    # the default level (3, 0) lies below tau = 4 of Daubechies10
+    with pytest.raises(ValueError, match=r"\(3, 0\) needs .* tau = 4 for Daubechies10"):
+        check_deviation(build_family("Daubechies10", 8), uniform, 2.0, (1.0,), 128, 10)
 
 
 def test_check_deviation_zero_exceedances_at_theory_rho(haar):

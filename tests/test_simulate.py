@@ -7,12 +7,14 @@ import pytest
 
 from multithresh.simulate import (
     AUDIT_GRID_SIZE,
+    UNIFORM_NOISE_DELTA,
     derive_rng,
     get_target,
     sample_density,
     sample_regression,
     target_library,
 )
+from multithresh.wavelets import midpoint_grid
 
 
 def test_library_members_pass_audit():
@@ -22,13 +24,17 @@ def test_library_members_pass_audit():
     for stem in ("uniform", "bump", "triangle", "twostep"):
         assert f"{stem}_density" in names
         assert f"{stem}_regression" in names
+    grid = midpoint_grid(AUDIT_GRID_SIZE)
     for t in targets:
-        t.audit()
+        vals = t(grid)
+        assert np.all((vals >= 0.0) & (vals <= t.bound + 1e-12)), t.name
+        if t.is_density:
+            assert abs(float(vals.mean()) - 1.0) <= 1e-3, t.name
 
 
 def test_triangle_density_mass():
     t = get_target("triangle", "density")
-    grid = (np.arange(AUDIT_GRID_SIZE) + 0.5) / AUDIT_GRID_SIZE
+    grid = midpoint_grid(AUDIT_GRID_SIZE)
     assert abs(float(t(grid).mean()) - 1.0) < 1e-3
     assert t.bound == 2.0
     assert t.smoothness[0] == 1.0
@@ -87,14 +93,17 @@ def test_sample_regression_bernoulli_degenerate():
 
 def test_sample_regression_uniform_noise_range():
     t = get_target("uniform", "regression")  # constant 1/2
-    s = sample_regression(t, 256, "uniform", 11, delta=0.25)
-    assert np.all((s.y >= 0.25) & (s.y <= 0.75))
+    s = sample_regression(t, 256, "uniform", 11)
+    delta = UNIFORM_NOISE_DELTA
+    assert delta == 0.1
+    assert np.all((s.y >= 0.5 - delta) & (s.y <= 0.5 + delta))
+    assert s.y.min() < 0.5 - delta / 2 and s.y.max() > 0.5 + delta / 2
 
 
 def test_sample_regression_noise_validation():
     tri = get_target("triangle", "regression")  # hits 0, uniform noise invalid
     with pytest.raises(ValueError):
-        sample_regression(tri, 64, "uniform", 0, delta=0.1)
+        sample_regression(tri, 64, "uniform", 0)
     with pytest.raises(ValueError):
         sample_regression(tri, 64, "sawtooth", 0)
 

@@ -18,6 +18,7 @@ from multithresh.wavelets import (
     eval_periodized,
     midpoint_grid,
     synthesize_at,
+    synthesize_many,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -160,6 +161,20 @@ def test_synthesize_haar_mother(haar):
     e = WaveletExpansion(0, 0, np.array([0.0]), [np.array([1.0])])
     vals = synthesize_at(haar, e, np.array([0.75, 0.25]))
     np.testing.assert_allclose(vals, [-1.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_synthesis_rejects_non_finite_points(haar, db4, bad):
+    rng = np.random.default_rng(3)
+    for family in (haar, db4):
+        e = random_expansion(rng, family.tau, 4)
+        with pytest.raises(ValueError, match="finite"):
+            synthesize_at(family, e, np.array([0.3, bad]))
+        with pytest.raises(ValueError, match="finite"):
+            synthesize_many(family, [e, e], np.array([bad]))
+        # finite points outside [0, 1] stay valid: the series is 1-periodic
+        np.testing.assert_array_equal(synthesize_at(family, e, [1.25, -0.75]),
+                                      synthesize_at(family, e, [0.25, 0.25]))
 
 
 def test_haar_round_trip_exact(haar):
