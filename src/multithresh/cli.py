@@ -292,8 +292,9 @@ def _setup(args) -> Setup:
         cfg = _config(args)
         if args.command in ("simulate", "check deviation") and len(cfg["n"]) > 1:
             raise ValueError(f"n: expected one sample size, got {cfg['n']}")
-        if args.command in ("rates", "check moment") and len(set(cfg["n"])) < 3:
-            raise ValueError(f"n: expected at least three distinct sample sizes, got {cfg['n']}")
+        if args.command in ("rates", "check moment") and not (
+                3 <= len(set(cfg["n"])) == len(cfg["n"])):
+            raise ValueError(f"n: need at least three sample sizes, all distinct, got {cfg['n']}")
         model = cfg.get("model", "density")  # the checks run in the density model
         target = get_target(cfg["target"], model) if "target" in cfg else None
         if model == "regression" and "noise" in cfg:

@@ -76,8 +76,8 @@ class MonteCarloConfig:
             raise ValueError("reps must be at least 1")
         if not 0.0 < self.universal_c < math.inf:
             raise ValueError(f"universal_c must be positive and finite, got {self.universal_c}")
-        if not self.ns:
-            raise ValueError("need at least one sample size")
+        if not self.ns or len(set(self.ns)) != len(self.ns):
+            raise ValueError(f"n: need at least one sample size, all distinct, got {self.ns}")
         for n in self.ns:
             split_sample(n)
 
@@ -235,6 +235,8 @@ def check_moment(
         raise ValueError("the moment check runs in the density model")
     if reps < 1:
         raise ValueError("reps must be at least 1")
+    if len(set(ns)) != len(ns):
+        raise ValueError(f"n: sample sizes must be distinct, got {tuple(ns)}")
     levels = [(int(j), int(k)) for j, k in levels]
     check_levels(family, levels)
     j_top = max(j for j, _ in levels)

@@ -1,14 +1,12 @@
 """Periodized orthonormal wavelet bases on [0, 1].
 
-Compactly supported father/mother pairs (Haar and the Daubechies family),
-evaluated pointwise through precomputed dyadic cascade tables with linear
-interpolation (Haar in closed form). Provides synthesis at arbitrary points
-and its adjoint, analysis of a weighted point set, which gives both the
-empirical coefficients and the quadrature analysis of known functions.
-Synthesis on a midpoint grid of power-of-two size gathers from per-level
-tables of generator values cached on the family (``_grid_table``); every
-other point set, and every level finer than the grid, goes through the
-pointwise stencil, which is also the reference for the tables.
+Compactly supported father/mother pairs: Haar in closed form, with no tables,
+and the Daubechies family through dyadic cascade tables with linear
+interpolation. One point stencil (``_stencil``) serves synthesis at points,
+its adjoint, analysis of a weighted point set (the empirical coefficients and
+the quadrature analysis of known functions), and the per-level grid tables
+cached on the family, from which synthesis on a midpoint grid of power-of-two
+size gathers the levels coarser than the grid.
 
 Conventions:
   - the low-pass filter ``h`` sums to sqrt(2) and has unit l2 norm, so the
@@ -76,8 +74,9 @@ class WaveletFamily:
     ``regularity`` is the nominal smoothness cap (number of vanishing
     moments); it is documented, not numerically certified. ``psi_sup`` is a
     certified numerical upper bound on the sup norm of the mother wavelet
-    (table maximum inflated by 1%, exact for Haar). ``grid_tables`` caches
-    the generator values of grid synthesis per (kind, level, grid size).
+    (table maximum inflated by 1%, exact for Haar, whose cascade tables are
+    None). ``grid_tables`` caches the generator values of grid synthesis per
+    (kind, level, grid size).
     """
 
     name: str
@@ -87,8 +86,8 @@ class WaveletFamily:
     regularity: int
     psi_sup: float
     cascade_depth: int
-    phi_table: np.ndarray = field(repr=False)
-    psi_table: np.ndarray = field(repr=False)
+    phi_table: np.ndarray | None = field(repr=False)
+    psi_table: np.ndarray | None = field(repr=False)
     grid_tables: dict[tuple[str, int, int], np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -142,7 +141,8 @@ def build_family(name: str, cascade_depth: int = 12) -> WaveletFamily:
 
     ``name`` is "Haar" or "DaubechiesN" with an even tap count N in 2..10
     (Daubechies2 shares the Haar filter). ``cascade_depth`` sets the table
-    resolution 2^-depth and must lie in [6, 20].
+    resolution 2^-depth and must lie in [6, 20]; Haar, evaluated in closed
+    form, builds no tables and ignores it.
     """
     if name not in _FILTERS:
         raise ValueError(
@@ -158,9 +158,9 @@ def build_family(name: str, cascade_depth: int = 12) -> WaveletFamily:
     tau = 0
     while (1 << tau) < support_width:
         tau += 1
-    phi_table, psi_table = _cascade_tables(h, cascade_depth)
-    # Haar is evaluated in closed form, where sup |psi| is exactly 1
-    psi_sup = 1.0 if support_width == 1 else float(np.abs(psi_table).max()) * 1.01
+    # Haar is evaluated in closed form: no tables, and sup |psi| is exactly 1
+    phi_table, psi_table = _cascade_tables(h, cascade_depth) if support_width > 1 else (None, None)
+    psi_sup = 1.0 if psi_table is None else float(np.abs(psi_table).max()) * 1.01
     return WaveletFamily(
         name=name,
         lowpass=h,
@@ -177,21 +177,6 @@ def build_family(name: str, cascade_depth: int = 12) -> WaveletFamily:
 # ---------------------------------------------------------------------------
 # Pointwise evaluation
 # ---------------------------------------------------------------------------
-
-def _base_eval(family: WaveletFamily, kind: str, z: np.ndarray) -> np.ndarray:
-    """Evaluate the unscaled generator at z; zero outside [0, support_width]."""
-    if family.is_haar:
-        if kind == "scaling":
-            return np.where((z >= 0.0) & (z < 1.0), 1.0, 0.0)
-        return np.where(
-            (z >= 0.0) & (z < 0.5), 1.0,
-            np.where((z >= 0.5) & (z < 1.0), -1.0, 0.0),
-        )
-    out = np.zeros_like(z, dtype=float)
-    ok = (z >= 0.0) & (z <= family.support_width)
-    out[ok] = _lerp(family, kind, z[ok])
-    return out
-
 
 def _lerp(family: WaveletFamily, kind: str, z: np.ndarray) -> np.ndarray:
     """Interpolate the generator's cascade table at z in [0, support_width]."""
@@ -220,7 +205,14 @@ def eval_periodized(family: WaveletFamily, kind: str, j: int, k: int, x) -> np.n
         raise ValueError(f"shift k = {k} out of range for level {j}")
     x_arr = np.asarray(x, dtype=float)
     z = np.mod((1 << j) * x_arr - k, 1 << j)
-    vals = 2.0 ** (j / 2.0) * _base_eval(family, kind, z)
+    if family.is_haar:
+        half = 1.0 if kind == "scaling" else 0.5  # where the sign flips
+        vals = np.where((z >= 0.0) & (z < half), 1.0, np.where((z >= half) & (z < 1.0), -1.0, 0.0))
+    else:
+        vals = np.zeros_like(z)
+        ok = (z >= 0.0) & (z <= family.support_width)
+        vals[ok] = _lerp(family, kind, z[ok])
+    vals = 2.0 ** (j / 2.0) * vals
     if np.isscalar(x) or x_arr.ndim == 0:
         return float(vals)
     return vals
@@ -265,36 +257,41 @@ class WaveletExpansion:
         return range(self.tau, self.j_max + 1)
 
 
-def _stencil(family: WaveletFamily, kind: str, j: int, x: np.ndarray):
-    """Yield (shift indices, generator values) of the translates meeting x.
+def _stencil(family: WaveletFamily, kind: str, j: int, y: np.ndarray, pos: np.ndarray,
+             top: int):
+    """Yield (shift indices, new generator values) of the support_width level-j translates at y.
 
-    A point meets only support_width translates per level, so synthesis at
-    points gathers those shifts instead of looping over all 2^j of them.
+    ``y`` is x mod 1 and ``pos`` = floor(2^top y), top > j (top >= j for the
+    scaling kind). Scaling by 2^top is exact, so the shift base is
+    pos >> (top - j), and the Haar wavelet's sign is bit top - j - 1 of pos.
+    The indices are masked: np.mod rounds a tiny negative x to 1.0.
     """
-    two_j = 1 << j
-    t = two_j * np.mod(x, 1.0)
-    kb = np.floor(t).astype(np.int64)
-    frac = t - kb
+    mask, base = (1 << j) - 1, pos >> (top - j)
+    if family.is_haar:
+        yield np.bitwise_and(base, mask, out=base), (
+            1.0 - 2.0 * ((pos >> (top - j - 1)) & 1) if kind == "wavelet" else np.ones_like(y))
+        return
+    frac = y * (1 << j) - base
     for m in range(family.support_width):
-        yield np.mod(kb - m, two_j), _base_eval(family, kind, frac + m)
+        vals = _lerp(family, kind, frac + m)  # first: the other order costs page faults
+        yield (base - m) & mask, vals
 
 
 def _grid_table(family: WaveletFamily, kind: str, j: int, size: int) -> np.ndarray:
     """Generator values T[m, p] = g((p + 1/2) / P + m), P = size / 2^j, for m < support_width.
 
     Point i = k P + p of the midpoint grid of ``size`` points has shift base
-    k and fractional position (p + 1/2) / P at level j, so the stencil
-    values repeat with period P. Cached on the family: per grid size the
-    tables of the scaling level and of all wavelet levels with 2^j < size
-    hold fewer than 3 * support_width * size / 2^tau <= 3 * size floats.
+    k and fractional position (p + 1/2) / P at level j, so the table is the
+    stencil at the first period, where pos = p. Cached on the family: per
+    grid size the tables of the scaling level and of all wavelet levels with
+    2^j < size hold fewer than 3 * support_width * size / 2^tau <= 3 * size floats.
     """
     key = (kind, j, size)
     table = family.grid_tables.get(key)
     if table is None:
-        period = size >> j
-        frac = (np.arange(period) + 0.5) / period
-        table = np.array([_base_eval(family, kind, frac + m)
-                          for m in range(family.support_width)])
+        pos = np.arange(size >> j)
+        table = np.array([vals for _, vals in _stencil(
+            family, kind, j, (pos + 0.5) / size, pos, size.bit_length() - 1)])
         table.flags.writeable = False
         family.grid_tables[key] = table
     return table
@@ -316,14 +313,14 @@ def _dyadic_grid_size(x: np.ndarray) -> int | None:
 
 
 def _level_synth(
-    family: WaveletFamily, kind: str, j: int, coeffs: np.ndarray, x: np.ndarray,
-    grid_size: int | None = None,
+    family: WaveletFamily, kind: str, j: int, coeffs: np.ndarray,
+    grid_size: int | None, points: tuple | None,
 ) -> np.ndarray:
     """Sum_k coeffs[..., k] * basis_{j,k}(x) for each row of coeffs, vectorized over x.
 
-    ``grid_size`` says that x is midpoint_grid(grid_size); levels coarser
-    than that grid then gather from its table, with the same products and
-    sums as the pointwise stencil, so the values are bit for bit the same.
+    ``points`` = (x mod 1, pos, top) feeds ``_stencil``. ``grid_size`` says that x is
+    midpoint_grid(grid_size); levels coarser than that grid gather from its table
+    instead, with the same products and sums, so the values are bit for bit the same.
     """
     two_j = 1 << j
     rows = coeffs.shape[:-1]
@@ -344,8 +341,8 @@ def _level_synth(
             out = out.swapaxes(-1, -2)
         out = out.reshape(rows + (grid_size,))
     else:
-        out = np.zeros(rows + np.shape(x))
-        for idx, vals in _stencil(family, kind, j, x):
+        out = np.zeros(rows + points[0].shape)
+        for idx, vals in _stencil(family, kind, j, *points):
             out += coeffs[..., idx] * vals
             del idx, vals  # free this step's arrays before the stencil makes the next
     out *= 2.0 ** (j / 2.0)
@@ -368,11 +365,15 @@ def synthesize_many(
     grid_size = _dyadic_grid_size(x)
     if grid_size is None and not np.isfinite(x).all():
         raise ValueError("synthesis points must be finite")
+    top, points = first.j_max + 1, None
+    if grid_size is None or 1 << max(first.tau, first.j_max) >= grid_size:
+        y = np.mod(x, 1.0)
+        points = y, np.floor(y * (1 << top)).astype(np.int64), top
     out = _level_synth(family, "scaling", first.tau,
-                       np.array([e.alpha for e in expansions]), x, grid_size)
+                       np.array([e.alpha for e in expansions]), grid_size, points)
     for i, j in enumerate(first.levels()):
         out += _level_synth(family, "wavelet", j,
-                            np.array([e.beta[i] for e in expansions]), x, grid_size)
+                            np.array([e.beta[i] for e in expansions]), grid_size, points)
     return out
 
 
@@ -394,27 +395,19 @@ def analyze_points(
     """Coefficients (1/n) sum_i w_i phi/psi_{j,k}(x_i) for levels tau..j_max.
 
     The adjoint of synthesis at the points x; ``weights`` None means all ones.
-    Each point's position K = floor(2^J (x mod 1)), J = j_max + 1, is taken
-    once. Scaling by 2^J is exact, so the shift base of level j is exactly
-    K >> (J - j), and the Haar wavelet's sign is bit J - j - 1 of K. The
-    per-shift sums and their order are those of the pointwise stencil.
+    Each point's position floor(2^(j_max + 1) (x mod 1)) is taken once, and
+    every level scatters through ``_stencil`` from it.
     """
     top, y = j_max + 1, np.mod(x, 1.0)
-    w = np.ones_like(y) if weights is None else weights
     pos = np.floor(y * (1 << top)).astype(np.int64)
     rows = []
     for kind, j in [("scaling", family.tau), *(("wavelet", j) for j in range(family.tau, top))]:
-        two_j, base = 1 << j, pos >> (top - j)
-        if family.is_haar:
-            sign = 1.0 - 2.0 * ((pos >> (top - j - 1)) & 1) if kind == "wavelet" else 1.0
-            sums = np.bincount(base, weights=sign * w, minlength=two_j)
-        else:
-            frac, sums = y * two_j - base, np.zeros(two_j)
-            for m in range(family.support_width):
-                # vals lives on into the next shift; freed earlier, it let malloc trim the
-                # heap, and each shift paid ~700 page faults to grow it again (n = 60000)
-                vals = _lerp(family, kind, frac + m) * w
-                sums += np.bincount((base - m) & (two_j - 1), weights=vals, minlength=two_j)
+        sums = np.zeros(1 << j)
+        # vals is new and scaled in place; freeing idx or vals early costs page faults
+        for idx, vals in _stencil(family, kind, j, y, pos, top):
+            if weights is not None:
+                vals *= weights
+            sums += np.bincount(idx, weights=vals, minlength=1 << j)
         rows.append(2.0 ** (j / 2.0) * sums / n)
     return WaveletExpansion(family.tau, j_max, rows[0], rows[1:])
 

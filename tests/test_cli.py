@@ -151,6 +151,9 @@ def _no_work(*args):
     ["rates", "--n", "512,1024,512", "--out", "r.csv"],
     ["check", "moment", "--n", "256,1024"],
     ["check", "moment", "--n", "256,256,256"],
+    # a repeated size would rerun the same streams and duplicate its rows
+    ["rates", "--n", "64,64,128,256", "--out", "r.csv"],
+    ["check", "moment", "--n", "256,512,1024,512"],
 ], ids=["estimate-family", "estimate-config-rule", "check-moment-family", "simulate-n-8",
         "simulate-n-list", "rates-n-below-split", "rates-config-rule", "check-constants-c-0",
         "check-constants-c-nan", "check-constants-K", "check-oracle-epsilon-0",
@@ -161,7 +164,8 @@ def _no_work(*args):
         "estimate-regression-B-config", "rates-B-not-read",
         "check-constants-rule-not-read", "estimate-seed-not-read", "simulate-family-not-read",
         "unknown-flag", "missing-out", "check-oracle-missing-input", "rates-n-repeated",
-        "rates-n-two-distinct", "check-moment-n-two", "check-moment-n-repeated"])
+        "rates-n-two-distinct", "check-moment-n-two", "check-moment-n-repeated",
+        "rates-n-one-repeat", "check-moment-n-one-repeat"])
 def test_config_errors_exit_1(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "wiggle.cfg").write_text("rule = wiggle\n")

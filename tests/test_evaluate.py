@@ -109,6 +109,9 @@ def test_monte_carlo_config_validation():
     with pytest.raises(ValueError, match="at least 62"):
         MonteCarloConfig(model="density", target="uniform", ns=(61, 128), reps=1)
     MonteCarloConfig(model="density", target="uniform", ns=(62,), reps=1)
+    # a repeated size would rerun the same streams and duplicate its rows
+    with pytest.raises(ValueError, match="distinct"):
+        MonteCarloConfig(model="density", target="uniform", ns=(64, 64, 128), reps=1)
     for c in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="universal_c"):
             MonteCarloConfig(model="density", target="uniform", ns=(62,), reps=1,
@@ -166,6 +169,8 @@ def test_checks_reject_zero_reps_and_bad_rho(haar):
     uniform = get_target("uniform", "density")
     with pytest.raises(ValueError, match="reps"):
         check_moment(haar, uniform, [(2, 0)], (256,), 0)
+    with pytest.raises(ValueError, match="distinct"):
+        check_moment(haar, uniform, [(2, 0)], (256, 512, 256), 10)
     with pytest.raises(ValueError, match="reps"):
         check_deviation(haar, uniform, 2.0, (1.0,), 128, 0)
     for rho in (0.0, math.nan, math.inf):

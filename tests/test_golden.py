@@ -1,8 +1,14 @@
 """CLI outputs against the golden files in tests/golden (see record.py there)."""
 
+import contextlib
 import importlib.util
+import io
 import re
 from pathlib import Path
+
+import numpy as np
+
+from multithresh.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:e[-+]?\d+)?")
@@ -33,3 +39,19 @@ def test_cli_outputs_match_golden_files(tmp_path):
             assert _numbers_close(got.decode(), want.decode(), 1e-12), name
         else:
             assert got == want, name
+
+
+def test_haar_rates_solve_no_eigenproblem(tmp_path, monkeypatch):
+    # Haar builds no cascade tables, so a Haar Monte Carlo run makes no
+    # LAPACK call: with np.linalg.eig raising, the rows equal the golden file
+    def no_eig(*args, **kwargs):
+        raise AssertionError("np.linalg.eig called")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    rows = tmp_path / "rates_haar.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["rates", "--model", "density", "--target", "triangle", "--family", "Haar",
+                     "--n", "64,128,256", "--reps", "2", "--seed", "9", "--rho", "1.0",
+                     "--grid-size", "1024", "--universal", "--out", str(rows)])
+    assert code == 0
+    assert rows.read_bytes() == (GOLDEN / "rates_haar.csv").read_bytes()

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from multithresh.wavelets import (
     SUPPORTED_FAMILIES,
     WaveletExpansion,
-    _level_synth,
-    _stencil,
+    _lerp,
     analyze,
     analyze_points,
     build_family,
@@ -43,6 +42,73 @@ def random_expansion(rng, tau, j_max, scale=1.0):
 
 
 # ---------------------------------------------------------------------------
+# Reference stencil: mod and floor at each level, the generator masked to its
+# support. The package's stencil (integer positions, unmasked interpolation)
+# must give bit for bit the same synthesis, analysis and grid tables.
+# ---------------------------------------------------------------------------
+
+def ref_base_eval(family, kind, z):
+    """The unscaled generator at z; zero outside [0, support_width]."""
+    if family.is_haar:
+        if kind == "scaling":
+            return np.where((z >= 0.0) & (z < 1.0), 1.0, 0.0)
+        return np.where(
+            (z >= 0.0) & (z < 0.5), 1.0,
+            np.where((z >= 0.5) & (z < 1.0), -1.0, 0.0),
+        )
+    out = np.zeros_like(z, dtype=float)
+    ok = (z >= 0.0) & (z <= family.support_width)
+    out[ok] = _lerp(family, kind, z[ok])
+    return out
+
+
+def ref_stencil(family, kind, j, x):
+    """Yield (shift indices, generator values) of the level-j translates meeting x."""
+    two_j = 1 << j
+    t = two_j * np.mod(x, 1.0)
+    kb = np.floor(t).astype(np.int64)
+    frac = t - kb
+    for m in range(family.support_width):
+        yield np.mod(kb - m, two_j), ref_base_eval(family, kind, frac + m)
+
+
+def ref_level_synth(family, kind, j, coeffs, x):
+    out = np.zeros(coeffs.shape[:-1] + np.shape(x))
+    for idx, vals in ref_stencil(family, kind, j, x):
+        out += coeffs[..., idx] * vals
+    out *= 2.0 ** (j / 2.0)
+    return out
+
+
+def ref_synth(family, expansions, x):
+    """Row r is the series of ``expansions[r]`` at x, every level through ``ref_stencil``."""
+    first = expansions[0]
+    out = ref_level_synth(family, "scaling", first.tau, np.array([e.alpha for e in expansions]), x)
+    for i, j in enumerate(first.levels()):
+        out += ref_level_synth(family, "wavelet", j, np.array([e.beta[i] for e in expansions]), x)
+    return out
+
+
+def ref_analysis(family, x, weights, j_max, n):
+    """Per-level rows of (1/n) sum_i w_i basis_{j,k}(x_i), one bincount per reference shift."""
+    rows = []
+    levels = [("scaling", family.tau)] + [("wavelet", j) for j in range(family.tau, j_max + 1)]
+    for kind, j in levels:
+        sums = np.zeros(1 << j)
+        for idx, vals in ref_stencil(family, kind, j, x):
+            if weights is not None:
+                vals = vals * weights
+            sums += np.bincount(idx, weights=vals, minlength=1 << j)
+        rows.append(2.0 ** (j / 2.0) * sums / n)
+    return rows
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
 # Families
 # ---------------------------------------------------------------------------
 
@@ -50,6 +116,7 @@ def test_haar_family(haar):
     assert haar.tau == 0
     assert haar.support_width == 1
     assert haar.psi_sup == 1.0
+    assert haar.phi_table is None and haar.psi_table is None
     np.testing.assert_allclose(haar.lowpass, [1 / SQRT2, 1 / SQRT2], atol=1e-15)
 
 
@@ -85,6 +152,24 @@ def test_build_family_errors():
         build_family("Daubechies4", 21)
     build_family("Daubechies4", 6)  # boundary depth is allowed
     build_family("Daubechies4", 20)
+
+
+def test_haar_solves_no_eigenproblem(monkeypatch):
+    # Haar is evaluated in closed form and reads no cascade table, so it
+    # needs no LAPACK call; its depth is still range-checked and ignored
+    def no_eig(*args, **kwargs):
+        raise AssertionError("np.linalg.eig called")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    for name in ("Haar", "Daubechies2"):
+        for depth in (6, 20):
+            family = build_family(name, depth)
+            assert family.phi_table is None and family.psi_table is None
+            assert family.psi_sup == 1.0
+        with pytest.raises(ValueError, match="cascade_depth"):
+            build_family(name, 21)
+    with pytest.raises(AssertionError, match="eig"):
+        build_family("Daubechies4", 12)
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +211,8 @@ def test_eval_periodized_wraps(db4):
     j, k = 2, 3
     xs = np.linspace(0.9, 1.0, 17)
     direct = np.zeros_like(xs)
-    from multithresh.wavelets import _base_eval
-
     for shift in range(-2, 3):
-        direct += _base_eval(db4, "wavelet", (1 << j) * (xs - shift) - k)
+        direct += ref_base_eval(db4, "wavelet", (1 << j) * (xs - shift) - k)
     direct *= 2.0 ** (j / 2.0)
     np.testing.assert_allclose(
         eval_periodized(db4, "wavelet", j, k, xs), direct, atol=1e-12
@@ -286,16 +369,53 @@ def test_synthesis_analysis_adjoint(name, extra, seed):
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(SUPPORTED_FAMILIES),
+    extra=st.integers(min_value=-1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2 ** 16),
+    x=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+               min_size=1, max_size=40),
+    repeats=st.integers(min_value=0, max_value=40),
+)
+def test_synthesis_analysis_adjoint_at_points(name, extra, seed, x, repeats):
+    # sum_i w_i (S e)(x_i) = n <e, analyze_points(x, w)> at arbitrary points,
+    # repeated ones and the endpoints included
+    family = FAMILIES[name]
+    rng = np.random.default_rng(seed)
+    e = random_expansion(rng, family.tau, family.tau + extra)
+    x = np.array(x + x[:repeats])
+    w = rng.standard_normal(x.size)
+    terms = w * synthesize_at(family, e, x)
+    a = analyze_points(family, x, w, e.j_max, x.size)
+    rhs = x.size * (float(e.alpha @ a.alpha) + sum(float(c @ b) for c, b in zip(e.beta, a.beta)))
+    assert abs(float(terms.sum()) - rhs) <= 1e-12 * float(np.abs(terms).sum())
+
+
 # ---------------------------------------------------------------------------
-# Grid tables against the pointwise stencil
+# Synthesis, grid tables and analysis against the reference stencil
 # ---------------------------------------------------------------------------
 
-def pointwise_synth(family, e, x):
-    """Every level through the pointwise stencil: the reference of the grid tables."""
-    out = _level_synth(family, "scaling", e.tau, e.alpha, x)
-    for j, row in zip(e.levels(), e.beta):
-        out += _level_synth(family, "wavelet", j, row, x)
-    return out
+def edge_points(rng, j_max):
+    """Random points, dyadic points at the finest level and their neighbours, edges, wraps."""
+    top = 1 << (j_max + 1)
+    dyadic = rng.integers(0, top + 1, 64) / top
+    return np.concatenate([rng.uniform(size=500), dyadic, np.nextafter(dyadic, -1.0),
+                           np.nextafter(dyadic, 2.0),
+                           [0.0, 0.5, 1.0 - 2.0 ** -53, 1.0, -1e-20, -0.75, 1.25]])
+
+
+@pytest.mark.parametrize("name", SUPPORTED_FAMILIES)
+def test_synthesis_at_points_matches_reference_stencil(name):
+    family = FAMILIES[name]
+    rng = np.random.default_rng(17)
+    for j_max in sorted({family.tau - 1, family.tau, family.tau + 3, 10}):
+        es = [random_expansion(rng, family.tau, j_max) for _ in range(3)]
+        x = edge_points(rng, j_max)
+        assert same_bits(synthesize_at(family, es[0], x), ref_synth(family, es[:1], x)[0])
+        assert same_bits(synthesize_many(family, es, x), ref_synth(family, es, x))
+        x2 = x[:600].reshape(20, 30)
+        assert same_bits(synthesize_many(family, es, x2), ref_synth(family, es, x2))
 
 
 @pytest.mark.parametrize("size", [2 ** 10, 2 ** 14, 1000])
@@ -308,7 +428,7 @@ def test_grid_tables_match_pointwise_stencil(name, size):
     grid = midpoint_grid(size)
     for j_max in (family.tau + 3, math.ceil(math.log2(size))):
         e = random_expansion(rng, family.tau, j_max)
-        fast, ref = synthesize_at(family, e, grid), pointwise_synth(family, e, grid)
+        fast, ref = synthesize_at(family, e, grid), ref_synth(family, [e], grid)[0]
         if family.is_haar:
             assert np.array_equal(fast, ref)
         else:
@@ -316,34 +436,12 @@ def test_grid_tables_match_pointwise_stencil(name, size):
         # a grid with one point moved is not the midpoint grid: no table applies
         moved = grid.copy()
         moved[-1] = 1.0 - 0.25 / size
-        assert np.array_equal(synthesize_at(family, e, moved), pointwise_synth(family, e, moved))
+        assert same_bits(synthesize_at(family, e, moved), ref_synth(family, [e], moved)[0])
     tabled = {j for kind, j, n in family.grid_tables if n == size}
     if size & (size - 1):
         assert not tabled
     else:
         assert tabled == {j for j in range(family.tau, j_max + 1) if 2 ** j < size}
-
-
-# ---------------------------------------------------------------------------
-# Empirical coefficients against the pointwise stencil
-# ---------------------------------------------------------------------------
-
-def stencil_analysis(family, x, weights, j_max, n):
-    """Per-level rows of (1/n) sum_i w_i basis_{j,k}(x_i), one bincount per stencil shift.
-
-    The reference of ``analyze_points``: each level recomputes mod, floor and
-    the generator through ``_stencil``.
-    """
-    rows = []
-    levels = [("scaling", family.tau)] + [("wavelet", j) for j in range(family.tau, j_max + 1)]
-    for kind, j in levels:
-        sums = np.zeros(1 << j)
-        for idx, vals in _stencil(family, kind, j, x):
-            if weights is not None:
-                vals = vals * weights
-            sums += np.bincount(idx, weights=vals, minlength=1 << j)
-        rows.append(2.0 ** (j / 2.0) * sums / n)
-    return rows
 
 
 @pytest.mark.parametrize("depth", [6, 12])
@@ -357,10 +455,10 @@ def test_analyze_points_matches_stencil_reference(name, depth, record_property):
         # dyadic points at the finest position, their left neighbours, and the edges
         dyadic = rng.integers(0, top + 1, 64) / top
         x = np.concatenate([rng.uniform(size=2000), dyadic, np.nextafter(dyadic, 0.0)[dyadic > 0],
-                            [0.0, 0.5, 1.0 - 2.0 ** -53, 1.0]])
+                            [0.0, 0.5, 1.0 - 2.0 ** -53, 1.0, -1e-20, -0.75, 1.25]])
         for weights in (None, rng.standard_normal(x.size)):
             got = analyze_points(family, x, weights, j_max, n=x.size)
-            want = stencil_analysis(family, x, weights, j_max, x.size)
+            want = ref_analysis(family, x, weights, j_max, x.size)
             assert len(got.beta) == len(want) - 1
             for g, w in zip([got.alpha, *got.beta], want):
                 if family.is_haar:
