@@ -49,12 +49,11 @@ from .evaluate import (
     oracle_report,
     rate_slope,
 )
-from .simulate import TargetFunction, check_noise, get_target, sample_density, sample_regression
+from .simulate import (MODELS, TargetFunction, check_noise, get_target, sample_density,
+                       sample_regression)
 from .thresholding import RULE_KINDS, ThresholdRule, verify_ongle
 from .wavelets import (DEFAULT_GRID_SIZE, MAX_CASCADE_DEPTH, MIN_CASCADE_DEPTH,
                        SUPPORTED_FAMILIES, WaveletFamily, build_family, midpoint_grid)
-
-MODELS = ("density", "regression")
 
 
 class ConfigError(Exception):
@@ -312,9 +311,8 @@ def _setup(args) -> Setup:
             family=family,
             monte_carlo=MonteCarloConfig(
                 model=model, target=cfg["target"], ns=cfg["n"], reps=cfg["reps"],
-                root_seed=cfg["seed"], family=cfg["family"],
-                cascade_depth=cfg["cascade_depth"], rule=cfg["rule"], scheme=cfg["scheme"],
-                rho=cfg["rho"], grid_size=cfg["grid_size"], noise=cfg["noise"],
+                root_seed=cfg["seed"], family=cfg["family"], cascade_depth=cfg["cascade_depth"],
+                rule=cfg["rule"], rho=cfg["rho"], grid_size=cfg["grid_size"], noise=cfg["noise"],
                 include_universal=cfg["universal"], universal_c=cfg["universal_c"],
             ) if args.command == "rates" else None,
         )
@@ -442,9 +440,10 @@ def cmd_rates(args) -> int:
         if not existed:
             path.unlink()
     results = monte_carlo(config)
-    _write_csv(out, list(_ROW_COLUMNS), results_to_rows(results, config.scheme, config.rule))
+    scheme = setup.cfg["scheme"]
+    _write_csv(out, list(_ROW_COLUMNS), results_to_rows(results, scheme, config.rule))
 
-    risk_column = "aggregate_risk" if config.scheme == "AEW" else "erm_risk"
+    risk_column = "aggregate_risk" if scheme == "AEW" else "erm_risk"
     ns_sorted, means = mean_risk_by_n(results, risk_column)
     slope, stderr = rate_slope(ns_sorted, means)
     s = setup.target.smoothness[0]
@@ -452,7 +451,7 @@ def cmd_rates(args) -> int:
     summary_header = ["model", "target", "scheme", "rule", "rho_mode", "reps",
                       "n_values", "slope", "slope_stderr", "expected_slope"]
     summary_row = [
-        config.model, config.target, config.scheme, config.rule,
+        config.model, config.target, scheme, config.rule,
         "theory" if config.rho is None else _fmt(config.rho),
         config.reps, ";".join(str(n) for n in ns_sorted), slope, stderr, expected,
     ]
@@ -508,7 +507,7 @@ def _check_moment(args) -> int:
 def _check_deviation(args) -> int:
     setup = _setup(args)
     rho = setup.cfg["rho"] if setup.cfg["rho"] is not None \
-        else min_rho(max(1.0, setup.target.bound), setup.family.psi_sup, "density")
+        else min_rho(setup.target.clip_bound, setup.family.psi_sup, "density")
     report = check_deviation(setup.family, setup.target, rho, setup.cfg["a"], setup.cfg["n"][0],
                              setup.cfg["reps"], setup.cfg["seed"], *_CHECK_LEVELS[args.command])
     for a, f, b, t in zip(report.a_values, report.frequencies,
@@ -529,7 +528,7 @@ def _check_oracle(args) -> int:
     try:
         model = results[0].model
         target = get_target(results[0].target, model)
-        constants = theory_constants(model, max(1.0, target.bound))
+        constants = theory_constants(model, target.clip_bound)
         report = oracle_report(results, constants, epsilon)
     except ValueError as exc:
         raise DataError(f"{args.input}: {exc}") from exc

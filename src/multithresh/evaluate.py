@@ -21,7 +21,8 @@ from .aggregation import (
     split_sample,
     universal_threshold_estimate,
 )
-from .simulate import TargetFunction, derive_rng, get_target, sample_density, sample_regression
+from .simulate import (MODELS, TargetFunction, derive_rng, get_target, sample_density,
+                       sample_regression)
 from .thresholding import ThresholdRule
 from .wavelets import (DEFAULT_GRID_SIZE, WaveletFamily, analyze, build_family,
                        eval_periodized, midpoint_grid)
@@ -62,7 +63,6 @@ class MonteCarloConfig:
     family: str = "Haar"
     cascade_depth: int = 12
     rule: str = "hard"
-    scheme: str = "AEW"
     rho: float | None = None  # None = smallest deviation-valid constant
     grid_size: int = DEFAULT_GRID_SIZE
     noise: str = "bernoulli"
@@ -70,8 +70,9 @@ class MonteCarloConfig:
     universal_c: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.model not in ("density", "regression"):
+        if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
+        get_target(self.target, self.model)
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
         if not 0.0 < self.universal_c < math.inf:
@@ -82,9 +83,7 @@ class MonteCarloConfig:
             split_sample(n)
 
     def loss(self, target: TargetFunction) -> LossSpec:
-        if self.model == "regression":
-            return LossSpec.regression(self.grid_size)
-        return LossSpec.density(max(1.0, target.bound), self.grid_size)
+        return LossSpec(self.model, target.clip_bound, self.grid_size)
 
 
 @dataclass(frozen=True)

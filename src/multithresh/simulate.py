@@ -1,8 +1,11 @@
 """Seedable data generators and a library of target functions.
 
-Every target is a pointwise map on [0, 1] with a known sup bound and a
-documented smoothness label; densities integrate to one. Density samples are
-drawn by exact rejection sampling under the flat envelope at height B;
+The library holds four shapes on [0, 1], each a density (it integrates to
+one) with a known sup bound and a documented smoothness label. The shape is
+the target ``<shape>_density``; halved, with half the bound, it is the
+regression function ``<shape>_regression``, whose values lie in [0, 1].
+A name qualified with one model is an error in the other. Density samples
+are drawn by exact rejection sampling under the flat envelope at height B;
 regression responses use Bernoulli noise (keeps Y in [0, 1] with exact
 conditional mean) or bounded uniform noise.
 
@@ -22,6 +25,7 @@ import numpy as np
 from .coefficients import MIN_SAMPLE_SIZE, DensitySample, RegressionSample
 from .wavelets import midpoint_grid
 
+MODELS = ("density", "regression")
 AUDIT_GRID_SIZE = 2 ** 16
 UNIFORM_NOISE_DELTA = 0.1  # half-width of the uniform regression noise U[-delta, delta]
 
@@ -48,61 +52,47 @@ class TargetFunction:
     def __call__(self, x) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
 
-
-def _uniform(x):
-    return np.ones_like(x)
-
-
-def _bump_density(x):
-    return 1.0 + 0.9 * np.cos(2.0 * np.pi * x)
+    @property
+    def clip_bound(self) -> float:
+        """The loss's clip ceiling B = max(1, bound); 1 for every regression target."""
+        return max(1.0, self.bound)
 
 
-def _bump_regression(x):
-    return 0.5 + 0.45 * np.cos(2.0 * np.pi * x)
-
-
-def _triangle_density(x):
-    return 2.0 - np.abs(4.0 * x - 2.0)
-
-
-def _triangle_regression(x):
-    return 0.5 * (2.0 - np.abs(4.0 * x - 2.0))
-
-
-def _twostep_density(x):
-    # jump placed off the dyadic grid so no wavelet family resolves it exactly
-    return np.where(x < 0.4, 0.5, 4.0 / 3.0)
-
-
-def _twostep_regression(x):
-    return np.where(x < 0.4, 0.25, 2.0 / 3.0)
+# the four density shapes: function, sup bound and smoothness label (s, p, q)
+_SHAPES = {
+    "uniform": (np.ones_like, 1.0, (math.inf, math.inf, math.inf)),
+    "bump": (lambda x: 1.0 + 0.9 * np.cos(2.0 * np.pi * x), 1.9, (math.inf, math.inf, math.inf)),
+    "triangle": (lambda x: 2.0 - np.abs(4.0 * x - 2.0), 2.0, (1.0, math.inf, math.inf)),
+    # jump placed off the dyadic grid so no wavelet family resolves it exactly;
+    # boundary smoothness, qualitative use only
+    "twostep": (lambda x: np.where(x < 0.4, 0.5, 4.0 / 3.0), 4.0 / 3.0, (0.5, 2.0, math.inf)),
+}
 
 
 def target_library() -> list[TargetFunction]:
-    """All built-in targets, density-normalized and regression-scaled."""
-    inf = math.inf
-    targets = [
-        TargetFunction("uniform_density", _uniform, 1.0, (inf, inf, inf), True),
-        TargetFunction("uniform_regression", lambda x: np.full_like(x, 0.5),
-                       0.5, (inf, inf, inf), False),
-        TargetFunction("bump_density", _bump_density, 1.9, (inf, inf, inf), True),
-        TargetFunction("bump_regression", _bump_regression, 0.95, (inf, inf, inf), False),
-        TargetFunction("triangle_density", _triangle_density, 2.0, (1.0, inf, inf), True),
-        TargetFunction("triangle_regression", _triangle_regression, 1.0, (1.0, inf, inf), False),
-        # boundary smoothness; qualitative use only
-        TargetFunction("twostep_density", _twostep_density, 4.0 / 3.0, (0.5, 2.0, inf), True),
-        TargetFunction("twostep_regression", _twostep_regression, 2.0 / 3.0, (0.5, 2.0, inf), False),
-    ]
-    return targets
+    """Every built-in target: each shape as a density, then halved as a regression function."""
+    return [get_target(stem, model) for stem in _SHAPES for model in MODELS]
 
 
 def get_target(name: str, model: str | None = None) -> TargetFunction:
-    """Look up a target by name, optionally qualified by model."""
-    full = name if model is None else f"{name}_{model}"
-    for t in target_library():
-        if t.name in (name, full):
-            return t
-    raise ValueError(f"unknown target {full!r}")
+    """The target ``stem_model``, named in full or as a stem with its model.
+
+    The regression target is the density shape halved, so Y stays in [0, 1].
+    A name qualified with a model other than ``model`` is an error.
+    """
+    stem, _, suffix = name.rpartition("_")
+    if suffix not in MODELS:  # a bare stem, in the given model
+        stem, suffix = name, model
+    elif model not in (None, suffix):
+        raise ValueError(f"target {name!r} belongs to the {suffix} model, "
+                         f"not the {model} model")
+    full = name if suffix is None else f"{stem}_{suffix}"
+    if stem not in _SHAPES or suffix not in MODELS:
+        raise ValueError(f"unknown target {full!r}")
+    shape, bound, smoothness = _SHAPES[stem]
+    if suffix == "regression":
+        return TargetFunction(full, lambda x: 0.5 * shape(x), 0.5 * bound, smoothness, False)
+    return TargetFunction(full, shape, bound, smoothness, True)
 
 
 def sample_density(

@@ -3,8 +3,9 @@
 The three classical rules (hard, soft, non-negative garrote) all vanish
 below the threshold, so the generic keep-indicator is already part of the
 rule. Each rule carries a constant pair (c1, c2) for the quadratic
-stability condition; the defaults are certified by :func:`verify_ongle`
-on the grid x, y in [-10, 10] step 0.01, u in {0.1, 0.5, 1, 2}.
+stability condition; the one default pair is certified for every rule by
+:func:`verify_ongle` on the grid x, y in [-10, 10] step 0.01, u in
+{0.1, 0.5, 1, 2}.
 """
 
 from __future__ import annotations
@@ -18,15 +19,15 @@ from .wavelets import WaveletExpansion
 
 RULE_KINDS = ("hard", "soft", "garrote")
 
-# certified by verify_ongle on the default grid
-_DEFAULT_CONSTANTS = {"hard": (8.0, 2.0), "soft": (8.0, 2.0), "garrote": (8.0, 2.0)}
+# (c1, c2), certified for every rule by verify_ongle on the default grid
+_DEFAULT_CONSTANTS = (8.0, 2.0)
 
 
 @dataclass(frozen=True)
 class ThresholdRule:
     """A thresholding operator with certified stability constants.
 
-    Omitted constants fall back to the certified defaults for the rule kind;
+    Omitted constants fall back to the certified default pair;
     explicit values (certified or not) are kept so the checker can exhibit
     failures of uncertified pairs.
     """
@@ -38,7 +39,7 @@ class ThresholdRule:
     def __post_init__(self) -> None:
         if self.kind not in RULE_KINDS:
             raise ValueError(f"unknown rule {self.kind!r}; expected one of {RULE_KINDS}")
-        default_c1, default_c2 = _DEFAULT_CONSTANTS[self.kind]
+        default_c1, default_c2 = _DEFAULT_CONSTANTS
         if self.c1 is None:
             object.__setattr__(self, "c1", default_c1)
         if self.c2 is None:

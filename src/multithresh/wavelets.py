@@ -204,13 +204,13 @@ def eval_periodized(family: WaveletFamily, kind: str, j: int, k: int, x) -> np.n
     if not 0 <= k < (1 << j):
         raise ValueError(f"shift k = {k} out of range for level {j}")
     x_arr = np.asarray(x, dtype=float)
-    z = np.mod((1 << j) * x_arr - k, 1 << j)
+    z = np.mod((1 << j) * x_arr - k, 1 << j)  # never negative, so only the top is masked
     if family.is_haar:
         half = 1.0 if kind == "scaling" else 0.5  # where the sign flips
-        vals = np.where((z >= 0.0) & (z < half), 1.0, np.where((z >= half) & (z < 1.0), -1.0, 0.0))
+        vals = np.where(z < half, 1.0, np.where(z < 1.0, -1.0, 0.0))
     else:
         vals = np.zeros_like(z)
-        ok = (z >= 0.0) & (z <= family.support_width)
+        ok = z <= family.support_width
         vals[ok] = _lerp(family, kind, z[ok])
     vals = 2.0 ** (j / 2.0) * vals
     if np.isscalar(x) or x_arr.ndim == 0:

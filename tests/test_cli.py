@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, file formats, exit codes."""
 
+import csv
 import shlex
 import tempfile
 from pathlib import Path
@@ -18,7 +19,8 @@ from multithresh.cli import (
     results_to_rows,
     rows_to_results,
 )
-from multithresh.evaluate import ExperimentResult, MonteCarloConfig, monte_carlo, oracle_report
+from multithresh.evaluate import (ExperimentResult, MonteCarloConfig, mean_risk_by_n, monte_carlo,
+                                  oracle_report, rate_slope)
 from multithresh.aggregation import theory_constants
 
 
@@ -154,6 +156,14 @@ def _no_work(*args):
     # a repeated size would rerun the same streams and duplicate its rows
     ["rates", "--n", "64,64,128,256", "--out", "r.csv"],
     ["check", "moment", "--n", "256,512,1024,512"],
+    # a target qualified with the other model: the first wrote y = 1 everywhere, the rest
+    # ended in a traceback
+    ["simulate", "--model", "regression", "--target", "uniform_density", "--out", "s.txt"],
+    ["simulate", "--model", "density", "--target", "bump_regression", "--out", "s.txt"],
+    ["rates", "--model", "density", "--target", "triangle_regression", "--n", "64,128,256",
+     "--out", "r.csv"],
+    ["check", "moment", "--target", "bump_regression"],
+    ["check", "deviation", "--target", "bump_regression"],
 ], ids=["estimate-family", "estimate-config-rule", "check-moment-family", "simulate-n-8",
         "simulate-n-list", "rates-n-below-split", "rates-config-rule", "check-constants-c-0",
         "check-constants-c-nan", "check-constants-K", "check-oracle-epsilon-0",
@@ -165,7 +175,9 @@ def _no_work(*args):
         "check-constants-rule-not-read", "estimate-seed-not-read", "simulate-family-not-read",
         "unknown-flag", "missing-out", "check-oracle-missing-input", "rates-n-repeated",
         "rates-n-two-distinct", "check-moment-n-two", "check-moment-n-repeated",
-        "rates-n-one-repeat", "check-moment-n-one-repeat"])
+        "rates-n-one-repeat", "check-moment-n-one-repeat", "simulate-regression-density-target",
+        "simulate-density-regression-target", "rates-density-regression-target",
+        "check-moment-regression-target", "check-deviation-regression-target"])
 def test_config_errors_exit_1(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "wiggle.cfg").write_text("rule = wiggle\n")
@@ -336,6 +348,49 @@ def test_rates_config_errors(tmp_path):
     assert run(["rates", "--n", "64,128", "--reps", 2, "--out", out]) == 1
     assert run(["rates", "--n", "64,128,256", "--reps", 1, "--target", "nope",
                 "--out", out]) == 1
+
+
+@pytest.mark.parametrize("argv,target,other", [
+    (["simulate", "--model", "regression", "--target", "uniform_density", "--out", "s.txt"],
+     "uniform_density", "regression"),
+    (["check", "deviation", "--target", "bump_regression"], "bump_regression", "density"),
+])
+def test_target_of_other_model_names_both_models(tmp_path, monkeypatch, capsys, argv, target,
+                                                  other):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    model = target.rsplit("_", 1)[1]
+    assert capsys.readouterr().err == (f"config error: target {target!r} belongs to the "
+                                       f"{model} model, not the {other} model\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rates_scheme_erm_fits_erm_risk(tmp_path):
+    out = tmp_path / "rates.csv"
+    assert run(["rates", "--scheme", "ERM", "--n", "64,128,256", "--reps", 2, "--seed", 3,
+                "--rho", "1.0", "--grid-size", 1024, "--out", out]) == 0
+    with open(out, newline="") as fh:
+        assert {row["scheme"] for row in csv.DictReader(fh)} == {"ERM"}
+    summary = dict(zip(*(line.split(",") for line in
+                         (tmp_path / "rates.summary.csv").read_text().splitlines())))
+    assert summary["scheme"] == "ERM"
+    results = rows_to_results(str(out))
+    erm_slope, erm_stderr = rate_slope(*mean_risk_by_n(results, "erm_risk"))
+    assert (float(summary["slope"]), float(summary["slope_stderr"])) == (erm_slope, erm_stderr)
+    assert erm_slope != rate_slope(*mean_risk_by_n(results, "aggregate_risk"))[0]
+
+
+def test_check_oracle_rows_of_other_model_target_are_data_error(tmp_path, capsys):
+    rows = tmp_path / "rows.csv"
+    results = [ExperimentResult(
+        model="density", target="triangle_regression", n=256, rep=rep, root_seed=1,
+        candidate_risks=(0.1, 0.2), aggregate_risk=0.12, erm_risk=0.1, weights=(0.6, 0.4),
+        chosen_u=0, universal_risk=None, m=128, l=128, j1=5, rho=1.0) for rep in range(3)]
+    cli._write_csv(rows, list(cli._ROW_COLUMNS), results_to_rows(results, "AEW", "hard"))
+    assert run(["check", "oracle", "--input", rows]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {rows}: target 'triangle_regression' belongs to the "
+                          "regression model, not the density model")
 
 
 def test_rows_csv_roundtrip(tmp_path):

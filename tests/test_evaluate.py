@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from multithresh import evaluate
-from multithresh.aggregation import theory_constants
+from multithresh.aggregation import LossSpec, theory_constants
 from multithresh.evaluate import (
     DeviationReport,
     ExperimentResult,
@@ -116,6 +116,25 @@ def test_monte_carlo_config_validation():
         with pytest.raises(ValueError, match="universal_c"):
             MonteCarloConfig(model="density", target="uniform", ns=(62,), reps=1,
                              universal_c=c)
+    # the target is looked up at construction, in the config's model
+    with pytest.raises(ValueError, match="unknown target 'sawtooth_density'"):
+        MonteCarloConfig(model="density", target="sawtooth", ns=(62,), reps=1)
+    with pytest.raises(ValueError, match="belongs to the regression model, not the density"):
+        MonteCarloConfig(model="density", target="bump_regression", ns=(62,), reps=1)
+    with pytest.raises(ValueError, match="belongs to the density model, not the regression"):
+        MonteCarloConfig(model="regression", target="uniform_density", ns=(62,), reps=1)
+    MonteCarloConfig(model="regression", target="uniform_regression", ns=(62,), reps=1)
+    with pytest.raises(TypeError):  # both schemes' risks are recorded, so there is no scheme
+        MonteCarloConfig(model="density", target="uniform", ns=(62,), reps=1, scheme="AEW")
+
+
+@pytest.mark.parametrize("model,target,B", [
+    ("density", "uniform", 1.0), ("density", "bump", 1.9), ("density", "triangle", 2.0),
+    ("density", "twostep", 4.0 / 3.0), ("regression", "triangle", 1.0), ("regression", "bump", 1.0),
+])
+def test_monte_carlo_loss_clips_at_max_of_one_and_bound(model, target, B):
+    cfg = MonteCarloConfig(model=model, target=target, ns=(62,), reps=1, grid_size=256)
+    assert cfg.loss(get_target(target, model)) == LossSpec(model, B, 256)
 
 
 def test_mean_risk_by_n():

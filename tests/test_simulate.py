@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multithresh.simulate import (
     AUDIT_GRID_SIZE,
+    MODELS,
     UNIFORM_NOISE_DELTA,
     derive_rng,
     get_target,
@@ -43,6 +46,66 @@ def test_triangle_density_mass():
 def test_get_target_unknown():
     with pytest.raises(ValueError):
         get_target("sawtooth", "density")
+    with pytest.raises(ValueError, match="unknown target 'triangle'"):
+        get_target("triangle")  # a stem needs its model
+    with pytest.raises(ValueError, match="unknown target 'triangle_poisson'"):
+        get_target("triangle", "poisson")
+
+
+STEMS = ("uniform", "bump", "triangle", "twostep")
+
+
+def test_library_names_and_order():
+    assert [t.name for t in target_library()] == [
+        f"{stem}_{model}" for stem in STEMS for model in MODELS]
+
+
+@pytest.mark.parametrize("stem", STEMS)
+@pytest.mark.parametrize("model", MODELS)
+def test_get_target_qualified_name_must_match_model(stem, model):
+    full = f"{stem}_{model}"
+    assert get_target(full).name == get_target(full, model).name == full
+    assert get_target(stem, model).name == full
+    other = MODELS[1 - MODELS.index(model)]
+    with pytest.raises(ValueError) as info:
+        get_target(full, other)
+    assert str(info.value) == f"target {full!r} belongs to the {model} model, not the {other} model"
+
+
+# the jump of twostep sits at 0.4
+_unit_floats = st.floats(0.0, 1.0) | st.sampled_from(
+    [0.4, np.nextafter(0.4, 0.0), np.nextafter(0.4, 1.0), 0.25, 0.5, 0.75, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.lists(_unit_floats, min_size=1, max_size=20))
+def test_regression_target_is_density_shape_halved(x):
+    x = np.array(x)
+    for stem in STEMS:
+        density, regression = get_target(stem, "density"), get_target(stem, "regression")
+        np.testing.assert_array_equal(regression(x).view(np.int64),
+                                      (0.5 * density(x)).view(np.int64))
+        assert regression.bound == 0.5 * density.bound
+        assert regression.smoothness == density.smoothness
+        assert (regression.is_density, density.is_density) == (False, True)
+        assert regression.clip_bound == 1.0
+        assert density.clip_bound == max(1.0, density.bound)
+
+
+def test_regression_targets_keep_their_closed_forms():
+    # the hand-written regression functions the halved shapes replaced, bit for bit
+    x = np.concatenate([midpoint_grid(AUDIT_GRID_SIZE), np.arange(9) / 8.0,
+                        [np.nextafter(0.4, 0.0), 0.4, np.nextafter(0.4, 1.0)]])
+    closed = {
+        "uniform": (np.full_like(x, 0.5), 0.5),
+        "bump": (0.5 + 0.45 * np.cos(2.0 * np.pi * x), 0.95),
+        "triangle": (0.5 * (2.0 - np.abs(4.0 * x - 2.0)), 1.0),
+        "twostep": (np.where(x < 0.4, 0.25, 2.0 / 3.0), 2.0 / 3.0),
+    }
+    for stem, (values, bound) in closed.items():
+        target = get_target(stem, "regression")
+        np.testing.assert_array_equal(target(x).view(np.int64), values.view(np.int64))
+        assert target.bound == bound
 
 
 def test_uniform_rejection_accepts_every_proposal():

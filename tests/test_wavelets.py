@@ -406,6 +406,24 @@ def edge_points(rng, j_max):
 
 
 @pytest.mark.parametrize("name", SUPPORTED_FAMILIES)
+def test_eval_periodized_matches_masked_reference_at_cell_boundaries(name):
+    # the generator at (2^j x - k) mod 2^j, masked to [0, support_width] as the reference does,
+    # at every cell edge and midpoint of level j and both neighbours of each
+    family = FAMILIES[name]
+    for j in range(family.tau, family.tau + 4):
+        cells = np.arange(1 << j)
+        edges = np.concatenate([cells / (1 << j), (cells + 0.5) / (1 << j)])
+        x = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0),
+                            [0.0, 1.0, -1e-20, 1.25]])
+        kinds = ("scaling", "wavelet") if j == family.tau else ("wavelet",)
+        for kind in kinds:
+            for k in range(1 << j):
+                z = np.mod((1 << j) * x - k, 1 << j)
+                want = 2.0 ** (j / 2.0) * ref_base_eval(family, kind, z)
+                assert same_bits(eval_periodized(family, kind, j, k, x), want), (kind, j, k)
+
+
+@pytest.mark.parametrize("name", SUPPORTED_FAMILIES)
 def test_synthesis_at_points_matches_reference_stencil(name):
     family = FAMILIES[name]
     rng = np.random.default_rng(17)
