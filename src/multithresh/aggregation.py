@@ -29,9 +29,9 @@ from .coefficients import (
     min_rho,
     regression_coeffs,
 )
-from .thresholding import ThresholdPlan, ThresholdRule, flat_plan, make_plan, threshold_expansion
+from .thresholding import ThresholdRule, check_rho, make_plan, threshold_expansion
 from .wavelets import (DEFAULT_GRID_SIZE, WaveletExpansion, WaveletFamily, midpoint_grid,
-                       synthesize_at, synthesize_many)
+                       synthesize_at)
 
 SCHEMES = ("AEW", "ERM")
 
@@ -68,14 +68,6 @@ class LossSpec:
         check_model_bound(self.model, self.B)
         if self.grid_size < 2:
             raise ValueError("grid_size must be at least 2")
-
-    @staticmethod
-    def regression(grid_size: int = DEFAULT_GRID_SIZE) -> "LossSpec":
-        return LossSpec("regression", 1.0, grid_size)
-
-    @staticmethod
-    def density(B: float, grid_size: int = DEFAULT_GRID_SIZE) -> "LossSpec":
-        return LossSpec("density", float(B), grid_size)
 
 
 def empirical_risk(loss: LossSpec, grid_values: np.ndarray, learn_values: np.ndarray,
@@ -120,20 +112,15 @@ def erm_select(risks) -> int:
 
 @dataclass
 class CandidateEstimator:
-    """A clipped thresholded estimator, represented by its quadrature-grid values.
-
-    Values off the grid are ``np.clip(synthesize_at(family, expansion, x), 0, B)``.
-    """
+    """A clipped thresholded estimator: its level offset u and its quadrature-grid values."""
 
     u: int
-    plan: ThresholdPlan
-    expansion: WaveletExpansion
     grid_values: np.ndarray = field(repr=False)
 
 
 def _clipped_values(family: WaveletFamily, expansion: WaveletExpansion, x: np.ndarray,
                     loss: LossSpec) -> np.ndarray:
-    """The expansion synthesized at the points x and clipped to [0, B]."""
+    """The expansion (or each row of a stack) synthesized at the points x and clipped to [0, B]."""
     # in place: a second grid-sized array per candidate costs page faults
     values = synthesize_at(family, expansion, x)
     return np.clip(values, 0.0, loss.B, out=values)
@@ -153,7 +140,8 @@ def aggregate_mixture(candidates, weights, loss: LossSpec) -> MixtureEstimator:
     weights = np.asarray(weights, dtype=float)
     if len(candidates) != len(weights):
         raise ValueError("one weight per candidate required")
-    if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > 1e-12:
+    # written positively so that NaN fails it too
+    if not (np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-12):
         raise ValueError("weights must be a probability vector")
     grid_values = np.zeros_like(candidates[0].grid_values)
     for w, cand in zip(weights, candidates):
@@ -221,8 +209,7 @@ def multi_threshold_candidates(
     n = data.n
     if rho is None:
         rho = min_rho(loss.B, family.psi_sup, loss.model)
-    if not 0.0 < rho < math.inf:
-        raise ValueError(f"rho must be positive and finite, got {rho}")
+    check_rho(rho)
 
     m, l = split_sample(n)
     train = data.subset(slice(0, m))
@@ -230,17 +217,16 @@ def multi_threshold_candidates(
     j1 = j1_level(n)
     raw = _model_coeffs(train, family, j1, loss)
 
-    grid = midpoint_grid(loss.grid_size)
     u_grid = candidate_grid(n, j1)
+    # one row per candidate; one stencil per level at the learning points serves every row
+    stack = threshold_expansion(raw, make_plan(rho, u_grid, family.tau, j1, m), rule)
+    learn_values = _clipped_values(family, stack, learn.x, loss)
+    # the grid goes one row at a time: a row's values stay in cache, the whole stack's do not
+    grid = midpoint_grid(loss.grid_size)
     candidates = []
-    for u in u_grid:
-        plan = make_plan(rho, u, family.tau, j1, m)
-        expansion = threshold_expansion(raw, plan, rule)
-        grid_values = _clipped_values(family, expansion, grid, loss)
-        candidates.append(CandidateEstimator(u, plan, expansion, grid_values))
-    # one stencil per level at the learning points serves every candidate
-    learn_values = synthesize_many(family, [c.expansion for c in candidates], learn.x)
-    np.clip(learn_values, 0.0, loss.B, out=learn_values)
+    for r, u in enumerate(u_grid):
+        row = WaveletExpansion(stack.tau, stack.j_max, stack.alpha[r], [b[r] for b in stack.beta])
+        candidates.append(CandidateEstimator(u, _clipped_values(family, row, grid, loss)))
     risks = np.array([empirical_risk(loss, c.grid_values, values, learn)
                       for c, values in zip(candidates, learn_values)])
 
@@ -284,14 +270,17 @@ def universal_threshold_estimate(
     loss: LossSpec,
     c: float = 1.0,
 ) -> CandidateEstimator:
-    """Single-candidate baseline: flat threshold c sqrt(log n / n), full sample."""
+    """Single-candidate baseline: flat threshold c sqrt(log n / n), full sample.
+
+    A stack of one candidate, whose offset tau - 1 thresholds every level.
+    """
     n = data.n
     j1 = j1_level(n)
     raw = _model_coeffs(data, family, j1, loss)
-    plan = flat_plan(c * math.sqrt(math.log(n) / n), family.tau, j1, n)
-    expansion = threshold_expansion(raw, plan, rule)
-    grid_values = _clipped_values(family, expansion, midpoint_grid(loss.grid_size), loss)
-    return CandidateEstimator(family.tau - 1, plan, expansion, grid_values)
+    flat = np.full((1, j1 - family.tau + 1), c * math.sqrt(math.log(n) / n))
+    stack = threshold_expansion(raw, flat, rule)
+    grid_values = _clipped_values(family, stack, midpoint_grid(loss.grid_size), loss)[0]
+    return CandidateEstimator(family.tau - 1, grid_values)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ from .aggregation import (
     split_sample,
     universal_threshold_estimate,
 )
-from .simulate import (MODELS, TargetFunction, derive_rng, get_target, sample_density,
-                       sample_regression)
-from .thresholding import ThresholdRule
+from .simulate import (MODELS, TargetFunction, check_noise, derive_rng, get_target,
+                       sample_density, sample_regression)
+from .thresholding import ThresholdRule, check_rho
 from .wavelets import (DEFAULT_GRID_SIZE, WaveletFamily, analyze, build_family,
                        eval_periodized, midpoint_grid)
 
@@ -72,7 +72,13 @@ class MonteCarloConfig:
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
-        get_target(self.target, self.model)
+        target = get_target(self.target, self.model)
+        self.loss(target)
+        if self.model == "regression":
+            check_noise(target, self.noise)
+        ThresholdRule(self.rule)
+        if self.rho is not None:
+            check_rho(self.rho)
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
         if not 0.0 < self.universal_c < math.inf:
@@ -292,8 +298,7 @@ def check_deviation(
     are exactly nonincreasing in a. Passes when every frequency stays below
     2^(-4a) plus three binomial standard errors.
     """
-    if not 0.0 < rho < math.inf:
-        raise ValueError("rho must be positive and finite")
+    check_rho(rho)
     if not target.is_density:
         raise ValueError("the deviation check runs in the density model")
     if reps < 1:

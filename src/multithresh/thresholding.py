@@ -1,4 +1,4 @@
-"""Term-by-term thresholding rules and per-level threshold plans.
+"""Term-by-term thresholding rules and per-level thresholds.
 
 The three classical rules (hard, soft, non-negative garrote) all vanish
 below the threshold, so the generic keep-indicator is already part of the
@@ -6,12 +6,17 @@ rule. Each rule carries a constant pair (c1, c2) for the quadratic
 stability condition; the one default pair is certified for every rule by
 :func:`verify_ongle` on the grid x, y in [-10, 10] step 0.01, u in
 {0.1, 0.5, 1, 2}.
+
+The candidates of the multi-thresholding estimator differ only in the level
+offset u of their thresholds. :func:`make_plan` gives one row of thresholds
+per offset, and :func:`threshold_expansion` turns the rows into one stack of
+thresholded expansions, with one pass of the rule per level for all rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,14 +53,17 @@ class ThresholdRule:
             raise ValueError(f"need finite c1, c2 >= 0, got c1={self.c1}, c2={self.c2}")
 
 
-def apply_rule(rule: ThresholdRule, u: float, x):
+def apply_rule(rule: ThresholdRule, u, x):
     """Apply the thresholding operator at threshold u > 0.
 
     hard:    x 1{|x| >= u}
     soft:    sign(x)(|x| - u) 1{|x| >= u}
     garrote: (x - u^2/x) 1{|x| >= u}
+
+    ``u`` is a number or an array that broadcasts against x, such as a column
+    of one threshold per row of x.
     """
-    if not u > 0.0:
+    if not np.all(u > 0.0):  # NaN fails it too
         raise ValueError(f"threshold u must be positive, got {u}")
     x_arr = np.asarray(x, dtype=float)
     active = np.abs(x_arr) >= u
@@ -64,98 +72,66 @@ def apply_rule(rule: ThresholdRule, u: float, x):
     elif rule.kind == "soft":
         out = np.where(active, np.sign(x_arr) * (np.abs(x_arr) - u), 0.0)
     else:
-        shrink = np.divide(
-            u * u, x_arr, out=np.zeros_like(x_arr, dtype=float), where=active
-        )
+        shrink = np.divide(u * u, x_arr, out=np.zeros(active.shape), where=active)
         out = np.where(active, x_arr - shrink, 0.0)
     if np.isscalar(x) or x_arr.ndim == 0:
         return float(out)
     return out
 
 
-@dataclass(frozen=True)
-class ThresholdPlan:
-    """Effective per-level thresholds t_j for levels tau..j1.
-
-    Levels j <= u are passed through untouched (t_j = 0); above the offset
-    the threshold grows with the level excess, scaled to the deviation size
-    of empirical coefficients built from n observations.
-    """
-
-    u: int
-    rho: float
-    tau: int
-    j1: int
-    n: int
-    t: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.t, dtype=float)
-        object.__setattr__(self, "t", t)
-        if len(t) != self.j1 - self.tau + 1:
-            raise ValueError("plan must hold one threshold per level tau..j1")
-        if not np.all((t >= 0.0) & (t < math.inf)):
-            raise ValueError("thresholds must be finite and nonnegative")
-        if np.any(np.diff(t) < 0.0):
-            raise ValueError("thresholds must be nondecreasing in the level")
-        levels = np.arange(self.tau, self.j1 + 1)
-        if np.any(t[levels <= self.u] != 0.0):
-            raise ValueError("levels at or below the offset u must have t_j = 0")
-
-    def threshold_at(self, j: int) -> float:
-        return float(self.t[j - self.tau])
+def check_rho(rho: float) -> None:
+    """Require a positive finite threshold constant rho."""
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho}")
 
 
-def make_plan(rho: float, u: int, tau: int, j1: int, n: int) -> ThresholdPlan:
-    """Threshold plan t_j = rho * (j - u)_+ / (2 sqrt(n)).
+def make_plan(rho: float, u, tau: int, j1: int, n: int) -> np.ndarray:
+    """Thresholds t_j = rho * (j - u)_+ / (2 sqrt(n)) for the levels j = tau..j1.
 
-    The threshold vector grows linearly in the level excess above the offset
-    u, placed on the scale of coefficient deviations (which shrink like
-    1/(2 sqrt(n))). The level offset enters through the positive part
-    (j - u)_+, so a plan with u >= j1 is all-zero (a pure linear estimator
-    up to j1). The linear shape is what makes moderate rho values usable:
-    the noise kept at level u + a decays like exp(-rho^2 a^2 / 8) against a
-    2^a coefficient count, which converges for every rho > 0, whereas a
-    sqrt(a)-shaped vector needs rho > sqrt(8 log 2) to converge.
+    Returns one row per offset when ``u`` is a sequence, and one vector for
+    a single offset. The thresholds grow linearly in the level excess above
+    the offset u, placed on the scale of coefficient deviations (which shrink
+    like 1/(2 sqrt(n))). The level offset enters through the positive part
+    (j - u)_+, so levels j <= u are passed through untouched and a plan with
+    u >= j1 is all-zero (a pure linear estimator up to j1). The linear shape
+    is what makes moderate rho values usable: the noise kept at level u + a
+    decays like exp(-rho^2 a^2 / 8) against a 2^a coefficient count, which
+    converges for every rho > 0, whereas a sqrt(a)-shaped vector needs
+    rho > sqrt(8 log 2) to converge.
     """
     if tau > j1:
         raise ValueError(f"invalid level range tau={tau} > j1={j1}")
     if n < 2:
         raise ValueError("n must be at least 2")
-    if not 0.0 < rho < math.inf:
-        raise ValueError(f"rho must be positive and finite, got {rho}")
-    levels = np.arange(tau, j1 + 1)
-    excess = np.maximum(levels - u, 0)
-    t = rho * excess / (2.0 * np.sqrt(n))
-    return ThresholdPlan(u=u, rho=rho, tau=tau, j1=j1, n=n, t=t)
+    check_rho(rho)
+    excess = np.maximum(np.arange(tau, j1 + 1) - np.asarray(u)[..., None], 0)
+    return rho * excess / (2.0 * np.sqrt(n))
 
 
-def flat_plan(threshold: float, tau: int, j1: int, n: int) -> ThresholdPlan:
-    """A level-independent plan (the universal-threshold baseline)."""
-    if not 0.0 <= threshold < math.inf:
-        raise ValueError(f"threshold must be finite and nonnegative, got {threshold}")
-    t = np.full(j1 - tau + 1, float(threshold))
-    return ThresholdPlan(u=tau - 1, rho=float(threshold), tau=tau, j1=j1, n=n, t=t)
+def threshold_expansion(raw: WaveletExpansion, t, rule: ThresholdRule) -> WaveletExpansion:
+    """Shrink the wavelet rows of an expansion level by level, once per row of thresholds.
 
-
-def threshold_expansion(
-    raw: WaveletExpansion, plan: ThresholdPlan, rule: ThresholdRule
-) -> WaveletExpansion:
-    """Shrink the wavelet rows of an expansion level by level.
-
-    Scaling coefficients are the linear step and stay untouched; a level with
-    t_j = 0 keeps its raw row.
+    ``t[..., j - tau]`` is the threshold of level j, as :func:`make_plan`
+    returns it; a matrix of thresholds gives an expansion with one candidate
+    row per threshold row. Scaling coefficients are the linear step and stay
+    untouched. Each level runs the rule once, on the rows with t_j > 0; a
+    row with t_j = 0 keeps the raw row (the garrote would divide 0/0 there).
     """
-    if raw.j_max != plan.j1 or raw.tau != plan.tau:
-        raise ValueError(
-            f"shape mismatch: expansion levels {raw.tau}..{raw.j_max} "
-            f"vs plan {plan.tau}..{plan.j1}"
-        )
+    t = np.asarray(t, dtype=float)
+    if t.shape[-1] != len(raw.beta):
+        raise ValueError(f"shape mismatch: expansion levels {raw.tau}..{raw.j_max} "
+                         f"vs {t.shape[-1]} thresholds per row")
+    if not np.all((t >= 0.0) & (t < math.inf)):
+        raise ValueError(f"each threshold must be finite and nonnegative, got {t}")
+    rows = t.shape[:-1]
     beta = []
-    for j, row in zip(raw.levels(), raw.beta):
-        tj = plan.threshold_at(j)
-        beta.append(apply_rule(rule, tj, row) if tj > 0.0 else row.copy())
-    return WaveletExpansion(raw.tau, raw.j_max, raw.alpha.copy(), beta)
+    for tj, row in zip(t.T, raw.beta):
+        out = np.broadcast_to(row, rows + row.shape).copy()
+        on = tj > 0.0
+        out[on] = apply_rule(rule, tj[on, None], row)
+        beta.append(out)
+    return WaveletExpansion(raw.tau, raw.j_max,
+                            np.broadcast_to(raw.alpha, rows + raw.alpha.shape).copy(), beta)
 
 
 @dataclass(frozen=True)

@@ -224,11 +224,13 @@ def eval_periodized(family: WaveletFamily, kind: str, j: int, k: int, x) -> np.n
 
 @dataclass
 class WaveletExpansion:
-    """Coefficient arrays of a periodized wavelet series.
+    """Coefficient arrays of a periodized wavelet series, or of a stack of them.
 
     ``alpha`` holds the 2^tau scaling coefficients; ``beta[j - tau]`` holds
     the 2^j wavelet coefficients of level j, for tau <= j <= j_max. An empty
-    ``beta`` (j_max = tau - 1) is a pure scaling expansion.
+    ``beta`` (j_max = tau - 1) is a pure scaling expansion. A stack of series
+    puts one leading row axis, of the same length, before the coefficients
+    of ``alpha`` and of every ``beta`` row.
     """
 
     tau: int
@@ -239,15 +241,17 @@ class WaveletExpansion:
     def __post_init__(self) -> None:
         self.alpha = np.asarray(self.alpha, dtype=float)
         self.beta = [np.asarray(row, dtype=float) for row in self.beta]
+        rows = self.alpha.shape[:-1]
         if self.j_max < self.tau - 1:
             raise ValueError(f"j_max = {self.j_max} below tau - 1 = {self.tau - 1}")
-        if len(self.alpha) != (1 << self.tau):
-            raise ValueError(f"alpha must have 2^tau = {1 << self.tau} entries")
+        if len(rows) > 1 or self.alpha.shape != rows + (1 << self.tau,):
+            raise ValueError(f"alpha must have 2^tau = {1 << self.tau} entries, "
+                             f"behind at most one row axis")
         if len(self.beta) != self.j_max - self.tau + 1:
             raise ValueError("beta must hold one row per level tau..j_max")
         for j, row in zip(self.levels(), self.beta):
-            if len(row) != (1 << j):
-                raise ValueError(f"level {j} row must have 2^{j} entries")
+            if row.shape != rows + (1 << j,):
+                raise ValueError(f"level {j} must have 2^{j} entries in each row of alpha")
         if not np.isfinite(self.alpha).all() or any(
             not np.isfinite(row).all() for row in self.beta
         ):
@@ -349,43 +353,29 @@ def _level_synth(
     return out
 
 
-def synthesize_many(
-    family: WaveletFamily, expansions: list[WaveletExpansion], x: np.ndarray
-) -> np.ndarray:
-    """Row r is the series of ``expansions[r]`` at the points x.
-
-    The expansions must share their levels, and x must be finite. Each level's
-    stencil at x is computed once and gathered for all rows, with the same
-    arithmetic per row as a call of ``synthesize_at``.
-    """
-    first = expansions[0]
-    if any(e.tau != first.tau or e.j_max != first.j_max for e in expansions):
-        raise ValueError("expansions must share their levels")
-    x = np.asarray(x, dtype=float)
-    grid_size = _dyadic_grid_size(x)
-    if grid_size is None and not np.isfinite(x).all():
-        raise ValueError("synthesis points must be finite")
-    top, points = first.j_max + 1, None
-    if grid_size is None or 1 << max(first.tau, first.j_max) >= grid_size:
-        y = np.mod(x, 1.0)
-        points = y, np.floor(y * (1 << top)).astype(np.int64), top
-    out = _level_synth(family, "scaling", first.tau,
-                       np.array([e.alpha for e in expansions]), grid_size, points)
-    for i, j in enumerate(first.levels()):
-        out += _level_synth(family, "wavelet", j,
-                            np.array([e.beta[i] for e in expansions]), grid_size, points)
-    return out
-
-
 def synthesize_at(
     family: WaveletFamily, expansion: WaveletExpansion, x: np.ndarray
 ) -> np.ndarray:
     """Evaluate the wavelet series at arbitrary (unsorted) finite points.
 
-    On a midpoint grid of power-of-two size the levels coarser than the grid
-    gather from the family's grid tables, with bit for bit the same values.
+    Returns ``rows + x.shape``: a stack of series gives one row per series,
+    and each level's stencil at x is computed once for all rows, with the
+    same arithmetic per row as the synthesis of that row alone. On a midpoint
+    grid of power-of-two size the levels coarser than the grid gather from
+    the family's grid tables, with bit for bit the same values.
     """
-    return synthesize_many(family, [expansion], x)[0]
+    x = np.asarray(x, dtype=float)
+    grid_size = _dyadic_grid_size(x)
+    if grid_size is None and not np.isfinite(x).all():
+        raise ValueError("synthesis points must be finite")
+    top, points = expansion.j_max + 1, None
+    if grid_size is None or 1 << max(expansion.tau, expansion.j_max) >= grid_size:
+        y = np.mod(x, 1.0)
+        points = y, np.floor(y * (1 << top)).astype(np.int64), top
+    out = _level_synth(family, "scaling", expansion.tau, expansion.alpha, grid_size, points)
+    for j, coeffs in zip(expansion.levels(), expansion.beta):
+        out += _level_synth(family, "wavelet", j, coeffs, grid_size, points)
+    return out
 
 
 def analyze_points(

@@ -150,8 +150,8 @@ def test_criterion_5_jensen_convexity():
     checked = 0
     for model in ("density", "regression"):
         target = get_target("triangle", model)
-        loss = LossSpec.regression(grid_size) if model == "regression" \
-            else LossSpec.density(target.bound, grid_size)
+        loss = LossSpec("regression", 1.0, grid_size) if model == "regression" \
+            else LossSpec("density", target.bound, grid_size)
         family = build_family("Haar", 12)
         tvals = target(grid)
         for rep in range(100):

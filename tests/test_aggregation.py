@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multithresh.aggregation import (
+    CandidateEstimator,
     LossSpec,
     aew_weights,
     aggregate_mixture,
@@ -25,11 +26,12 @@ from multithresh.aggregation import (
     theory_constants,
     universal_threshold_estimate,
 )
-from multithresh.coefficients import DensitySample, RegressionSample, min_rho
+from multithresh.coefficients import (DensitySample, RegressionSample, density_coeffs, j1_level,
+                                      min_rho, regression_coeffs)
 from multithresh.simulate import get_target, sample_density, sample_regression
-from multithresh.thresholding import RULE_KINDS, ThresholdRule
-from multithresh.wavelets import (SUPPORTED_FAMILIES, build_family, midpoint_grid,
-                                  synthesize_at, synthesize_many)
+from multithresh.thresholding import RULE_KINDS, ThresholdRule, make_plan, threshold_expansion
+from multithresh.wavelets import (SUPPORTED_FAMILIES, WaveletExpansion, build_family,
+                                  midpoint_grid, synthesize_at)
 
 LN2 = math.log(2.0)
 
@@ -56,27 +58,27 @@ def test_split_sample_partitions(n):
 
 
 def test_loss_spec_validation():
-    assert LossSpec.regression() == LossSpec("regression", 1.0)
-    assert LossSpec.density(2.0).B == 2.0
+    assert LossSpec("regression") == LossSpec("regression", 1.0, 2 ** 14)
+    assert LossSpec("density", 2.0).B == 2.0
     assert [f.name for f in dataclasses.fields(LossSpec)] == ["model", "B", "grid_size"]
     with pytest.raises(ValueError, match="fixes B = 1"):
         LossSpec("regression", 2.0)
     for B in (0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="density bound"):
-            LossSpec.density(B)
+            LossSpec("density", B)
     with pytest.raises(ValueError, match="model must be"):
         LossSpec("huber")
     with pytest.raises(ValueError, match="grid_size"):
-        LossSpec.regression(1)
+        LossSpec("regression", 1.0, 1)
 
 
 def test_empirical_risk_examples():
-    reg = LossSpec.regression(2 ** 10)
+    reg = LossSpec("regression", 1.0, 2 ** 10)
     grid = midpoint_grid(2 ** 10)
     data = RegressionSample(np.full(16, 0.5), np.concatenate([[1.0], np.ones(15)]))
     assert empirical_risk(reg, np.zeros_like(grid), np.zeros(16), data) == pytest.approx(1.0)
 
-    den = LossSpec.density(1.0, 2 ** 10)
+    den = LossSpec("density", 1.0, 2 ** 10)
     sample = DensitySample(np.linspace(0.1, 0.9, 16))
     assert empirical_risk(den, np.ones_like(grid), np.ones(16), sample) == pytest.approx(-1.0)
     # the integral term is the mean of the squared grid values
@@ -181,7 +183,7 @@ def test_candidate_grid():
 
 def test_aggregate_mixture_point_mass(haar):
     sample = sample_density(get_target("triangle", "density"), 256, 1)
-    loss = LossSpec.density(2.0, 2 ** 12)
+    loss = LossSpec("density", 2.0, 2 ** 12)
     cands, diag = multi_threshold_candidates(sample, haar, ThresholdRule("hard"), loss)
     point = np.zeros(len(cands))
     point[0] = 1.0
@@ -191,33 +193,44 @@ def test_aggregate_mixture_point_mass(haar):
     np.testing.assert_array_equal(mix.weights, point)
 
 
+def const_candidate(c):
+    return CandidateEstimator(u=0, grid_values=np.full(2 ** 10, c))
+
+
 def test_aggregate_mixture_of_constants(haar):
-    from multithresh.aggregation import CandidateEstimator
-    from multithresh.thresholding import flat_plan
-    from multithresh.wavelets import WaveletExpansion
-
-    plan = flat_plan(0.0, 0, 0, 16)
-
-    def const_candidate(c):
-        e = WaveletExpansion(0, 0, np.array([c]), [np.zeros(1)])
-        return CandidateEstimator(u=0, plan=plan, expansion=e, grid_values=np.full(2 ** 10, c))
-
-    loss = LossSpec.regression(2 ** 10)
+    loss = LossSpec("regression", 1.0, 2 ** 10)
     mix = aggregate_mixture([const_candidate(0.0), const_candidate(1.0)], [0.5, 0.5], loss)
     np.testing.assert_allclose(mix.grid_values, 0.5)
     with pytest.raises(ValueError):
         aggregate_mixture([const_candidate(0.0)], [0.7], loss)
 
 
+@pytest.mark.parametrize("weights", [[math.nan, math.nan], [math.nan, 1.0], [0.5, math.nan],
+                                     [math.inf, 0.0], [-0.5, 1.5], [0.7, 0.7]])
+def test_aggregate_mixture_rejects_weights_off_the_simplex(weights):
+    # an all-NaN vector once passed the check and gave a mixture that was NaN everywhere
+    loss = LossSpec("regression", 1.0, 2 ** 10)
+    with pytest.raises(ValueError, match="probability vector"):
+        aggregate_mixture([const_candidate(0.25), const_candidate(0.75)], weights, loss)
+
+
+def candidate_stack(sample, family, rule, diag):
+    """The thresholded stack behind the candidates, rebuilt from the training part."""
+    coeffs = density_coeffs if isinstance(sample, DensitySample) else regression_coeffs
+    raw = coeffs(sample.subset(slice(0, diag.m)), family, diag.j1)
+    return threshold_expansion(
+        raw, make_plan(diag.rho, diag.u_grid, family.tau, diag.j1, diag.m), rule)
+
+
 def test_mixture_stays_in_clip_range(haar):
     sample = sample_density(get_target("triangle", "density"), 512, 3)
-    loss = LossSpec.density(2.0, 2 ** 12)
+    loss = LossSpec("density", 2.0, 2 ** 12)
     est, diag = multi_threshold_estimate(sample, haar, ThresholdRule("hard"), loss, rho=1.0)
     assert np.all(est.grid_values >= 0.0)
     assert np.all(est.grid_values <= 2.0)
     # clipping before averaging: the raw expansions overshoot, the candidates do not
-    raw = np.array([synthesize_at(haar, c.expansion, midpoint_grid(2 ** 12))
-                    for c in est.candidates])
+    stack = candidate_stack(sample, haar, ThresholdRule("hard"), diag)
+    raw = synthesize_at(haar, stack, midpoint_grid(2 ** 12))
     assert raw.max() > 2.0 and raw.min() < 0.0
     np.testing.assert_array_equal([c.grid_values for c in est.candidates],
                                   np.clip(raw, 0.0, 2.0))
@@ -239,10 +252,10 @@ def test_grid_values_in_clip_range(model, family, rule, n, seed, concentration, 
     rng = np.random.default_rng(seed)
     x = rng.beta(concentration, concentration, size=n)
     if model == "density":
-        sample, loss = DensitySample(x), LossSpec.density(B, 2 ** 8)
+        sample, loss = DensitySample(x), LossSpec("density", B, 2 ** 8)
     else:
         sample, loss = RegressionSample(x, (rng.uniform(size=n) < x).astype(float)), \
-            LossSpec.regression(2 ** 8)
+            LossSpec("regression", 1.0, 2 ** 8)
     family, rule = _family(family), ThresholdRule(rule)
     cands, diag = multi_threshold_candidates(sample, family, rule, loss, rho=rho)
     mix = aggregate_mixture(cands, diag.weights, loss)
@@ -253,7 +266,7 @@ def test_grid_values_in_clip_range(model, family, rule, n, seed, concentration, 
 
 def test_pipeline_diagnostics_invariants(haar):
     sample = sample_density(get_target("bump", "density"), 1024, 17)
-    loss = LossSpec.density(1.9, 2 ** 12)
+    loss = LossSpec("density", 1.9, 2 ** 12)
     est, diag = multi_threshold_estimate(sample, haar, ThresholdRule("hard"), loss)
     assert diag.m == 876 and diag.l == 148 and diag.j1 == 8
     assert diag.u_grid == tuple(range(9))
@@ -266,7 +279,7 @@ def test_pipeline_diagnostics_invariants(haar):
 
 def test_pipeline_deterministic(haar):
     sample = sample_regression(get_target("triangle", "regression"), 256, "bernoulli", 5)
-    loss = LossSpec.regression(2 ** 12)
+    loss = LossSpec("regression", 1.0, 2 ** 12)
     est1, d1 = multi_threshold_estimate(sample, haar, ThresholdRule("soft"), loss, rho=1.0)
     est2, d2 = multi_threshold_estimate(sample, haar, ThresholdRule("soft"), loss, rho=1.0)
     np.testing.assert_array_equal(est1.grid_values, est2.grid_values)
@@ -280,24 +293,31 @@ def test_learning_points_share_one_stencil(name, model):
     family = build_family(name, 12)
     target = get_target("triangle", model)
     if model == "density":
-        sample, loss = sample_density(target, 2048, 4), LossSpec.density(2.0, 2 ** 12)
+        sample, loss = sample_density(target, 2048, 4), LossSpec("density", 2.0, 2 ** 12)
     else:
         sample = sample_regression(target, 2048, "bernoulli", 4)
-        loss = LossSpec.regression(2 ** 12)
+        loss = LossSpec("regression", 1.0, 2 ** 12)
     candidates, diag = multi_threshold_candidates(sample, family, ThresholdRule("hard"), loss,
                                                   rho=1.0)
     learn = sample.subset(slice(diag.m, sample.n))
-    shared = synthesize_many(family, [c.expansion for c in candidates], learn.x)
-    for cand, values, risk in zip(candidates, shared, diag.risks):
-        own = synthesize_at(family, cand.expansion, learn.x)
-        assert np.array_equal(values, own)
+    stack = candidate_stack(sample, family, ThresholdRule("hard"), diag)
+    shared = synthesize_at(family, stack, learn.x)
+    assert shared.shape == (diag.M, diag.l)
+    grid = midpoint_grid(loss.grid_size)
+    for r, (cand, values, risk) in enumerate(zip(candidates, shared, diag.risks)):
+        row = WaveletExpansion(stack.tau, stack.j_max, stack.alpha[r], [b[r] for b in stack.beta])
+        own = synthesize_at(family, row, learn.x)
+        assert np.array_equal(values.view(np.int64), own.view(np.int64))
+        assert np.array_equal(cand.grid_values,
+                              np.clip(synthesize_at(family, row, grid), 0.0, loss.B))
         clipped = np.clip(own, 0.0, loss.B)
         assert empirical_risk(loss, cand.grid_values, clipped, learn) == risk
 
 
 def test_candidates_keep_only_the_grid_tables_they_need():
     # after the call the family holds the tables of the grid levels it
-    # synthesized and nothing else is left: no learning-point stencil
+    # synthesized and nothing else is left: no learning-point stencil and no
+    # thresholded stack, only each candidate's grid values
     sample = sample_density(get_target("triangle", "density"), 2 ** 15, 8)
     sizes = (2 ** 8, 2 ** 12)
     for name in ("Haar", "Daubechies4"):
@@ -308,13 +328,12 @@ def test_candidates_keep_only_the_grid_tables_they_need():
             try:
                 before = tracemalloc.get_traced_memory()[0]
                 candidates, diag = multi_threshold_candidates(
-                    sample, family, ThresholdRule("hard"), LossSpec.density(2.0, size), rho=1.0)
+                    sample, family, ThresholdRule("hard"), LossSpec("density", 2.0, size), rho=1.0)
                 gc.collect()
                 retained = tracemalloc.get_traced_memory()[0] - before
             finally:
                 tracemalloc.stop()
-            held = sum(c.grid_values.nbytes + c.plan.t.nbytes + c.expansion.alpha.nbytes
-                       + sum(row.nbytes for row in c.expansion.beta) for c in candidates)
+            held = sum(c.grid_values.nbytes for c in candidates)
             tables = [t for (_, _, n), t in family.grid_tables.items() if n == size]
             held += sum(t.nbytes for t in tables)
             # a learning-point stencil kept for all levels (int32 shift bases and
@@ -333,7 +352,7 @@ def test_candidates_keep_only_the_grid_tables_they_need():
 
 def test_pipeline_erm_scheme_returns_candidate(haar):
     sample = sample_density(get_target("triangle", "density"), 256, 9)
-    loss = LossSpec.density(2.0, 2 ** 12)
+    loss = LossSpec("density", 2.0, 2 ** 12)
     est, diag = multi_threshold_estimate(
         sample, haar, ThresholdRule("hard"), loss, scheme="ERM")
     assert est.u == diag.chosen_u
@@ -345,13 +364,13 @@ def test_pipeline_model_mismatch(haar):
     sample = sample_density(get_target("triangle", "density"), 256, 2)
     with pytest.raises(ValueError):
         multi_threshold_estimate(sample, haar, ThresholdRule("hard"),
-                                 LossSpec.regression(2 ** 12))
+                                 LossSpec("regression", 1.0, 2 ** 12))
 
 
 def test_jensen_convexity_small(haar):
     # true risk of the mixture never exceeds the weighted candidate risks
     target = get_target("triangle", "density")
-    loss = LossSpec.density(2.0, 2 ** 12)
+    loss = LossSpec("density", 2.0, 2 ** 12)
     grid = midpoint_grid(2 ** 12)
     tvals = target(grid)
     for seed in range(10):
@@ -369,7 +388,7 @@ def test_uniform_density_aggregate_mise(haar):
     # error comes only from the thresholded noise levels and stays at the
     # parametric scale 3/m, two orders below the worst candidate
     target = get_target("uniform", "density")
-    loss = LossSpec.density(1.0, 2 ** 12)
+    loss = LossSpec("density", 1.0, 2 ** 12)
     grid = midpoint_grid(2 ** 12)
     reps = 60
     n = 4096
@@ -393,18 +412,23 @@ def test_uniform_density_aggregate_mise(haar):
 def test_universal_threshold_baseline(haar):
     target = get_target("triangle", "density")
     sample = sample_density(target, 1024, 31)
-    loss = LossSpec.density(2.0, 2 ** 12)
+    loss = LossSpec("density", 2.0, 2 ** 12)
     base = universal_threshold_estimate(sample, haar, ThresholdRule("hard"), loss)
     assert np.all(base.grid_values >= 0.0) and np.all(base.grid_values <= 2.0)
-    # flat threshold c sqrt(log n / n) across all levels
-    np.testing.assert_allclose(base.plan.t, math.sqrt(math.log(1024) / 1024))
+    assert base.u == haar.tau - 1
+    # flat threshold c sqrt(log n / n) across all levels, on the full sample
+    j1 = j1_level(1024)
+    flat = np.full(j1 - haar.tau + 1, math.sqrt(math.log(1024) / 1024))
+    one = threshold_expansion(density_coeffs(sample, haar, j1), flat, ThresholdRule("hard"))
+    want = np.clip(synthesize_at(haar, one, midpoint_grid(2 ** 12)), 0.0, 2.0)
+    assert np.array_equal(base.grid_values.view(np.int64), want.view(np.int64))
 
 
 def test_nan_threshold_constants_are_rejected(haar):
     # a NaN rho once failed deep in ThresholdPlan with an unrelated message, and a
     # NaN c returned the unthresholded estimator
     sample = sample_density(get_target("triangle", "density"), 256, 1)
-    loss = LossSpec.density(2.0, 2 ** 10)
+    loss = LossSpec("density", 2.0, 2 ** 10)
     for rho in (math.nan, math.inf, 0.0):
         with pytest.raises(ValueError, match="rho must be positive and finite"):
             multi_threshold_candidates(sample, haar, ThresholdRule("hard"), loss, rho=rho)

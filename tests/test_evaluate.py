@@ -126,6 +126,27 @@ def test_monte_carlo_config_validation():
     MonteCarloConfig(model="regression", target="uniform_regression", ns=(62,), reps=1)
     with pytest.raises(TypeError):  # both schemes' risks are recorded, so there is no scheme
         MonteCarloConfig(model="density", target="uniform", ns=(62,), reps=1, scheme="AEW")
+    # what monte_carlo would reject only after its first sample, the config rejects at once
+    for kwargs, match in [
+        (dict(rule="bogus"), "unknown rule 'bogus'"),
+        (dict(rho=0.0), "rho must be positive and finite"),
+        (dict(rho=math.nan), "rho must be positive and finite"),
+        (dict(rho=-1.0), "rho must be positive and finite"),
+        (dict(rho=math.inf), "rho must be positive and finite"),
+        (dict(grid_size=1), "grid_size must be at least 2"),
+    ]:
+        for model in ("density", "regression"):
+            with pytest.raises(ValueError, match=match):
+                MonteCarloConfig(model=model, target="triangle", ns=(62,), reps=1, **kwargs)
+    with pytest.raises(ValueError, match="unknown noise kind 'gaussian'"):
+        MonteCarloConfig(model="regression", target="triangle", ns=(62,), reps=1,
+                         noise="gaussian")
+    with pytest.raises(ValueError, match="uniform noise requires target values"):
+        MonteCarloConfig(model="regression", target="triangle", ns=(62,), reps=1, noise="uniform")
+    # the density model draws no noise, and rho None means the theory constant
+    MonteCarloConfig(model="density", target="triangle", ns=(62,), reps=1, noise="uniform")
+    MonteCarloConfig(model="regression", target="twostep", ns=(62,), reps=1, noise="uniform",
+                     rho=None, rule="garrote", grid_size=2)
 
 
 @pytest.mark.parametrize("model,target,B", [

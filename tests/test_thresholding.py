@@ -1,6 +1,7 @@
-"""Thresholding rules, plans, and the quadratic stability condition."""
+"""Thresholding rules, threshold rows and stacks, and the quadratic stability condition."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,10 +10,8 @@ from hypothesis import strategies as st
 
 from multithresh.thresholding import (
     OngleReport,
-    ThresholdPlan,
     ThresholdRule,
     apply_rule,
-    flat_plan,
     make_plan,
     threshold_expansion,
     verify_ongle,
@@ -69,10 +68,24 @@ def test_rule_properties(kind, u, x):
         assert abs(out - x) <= u + tol
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def test_make_plan_values():
     plan = make_plan(2.0, 3, 0, 5, 100)
-    np.testing.assert_allclose(plan.t, [0.0, 0.0, 0.0, 0.0, 0.1, 0.2])
-    assert plan.threshold_at(4) == pytest.approx(2.0 * 1 / (2 * 10))
+    np.testing.assert_allclose(plan, [0.0, 0.0, 0.0, 0.0, 0.1, 0.2])
+    assert plan[4] == pytest.approx(2.0 * 1 / (2 * 10))  # level 4, as tau = 0
+    # a sequence of offsets gives one row per offset, each with the bits of its own call
+    offsets = [0, 3, 5, 7]
+    rows = make_plan(2.0, offsets, 0, 5, 100)
+    assert rows.shape == (4, 6)
+    for u, row in zip(offsets, rows):
+        assert same_bits(row, make_plan(2.0, u, 0, 5, 100))
+    # the old per-offset formula, with u a Python int, is the bit-for-bit reference
+    for u, row in zip(offsets, make_plan(0.7, offsets, 1, 9, 876)):
+        assert same_bits(row, 0.7 * np.maximum(np.arange(1, 10) - u, 0) / (2.0 * np.sqrt(876)))
 
 
 def test_make_plan_offsets():
@@ -80,12 +93,15 @@ def test_make_plan_offsets():
     excess = np.maximum(np.arange(5) - 2, 0)
     np.testing.assert_array_equal(excess, [0, 0, 0, 1, 2])
     plan = make_plan(1.0, 2, 0, 4, 64)
-    np.testing.assert_allclose(plan.t, excess / 16.0)
+    np.testing.assert_allclose(plan, excess / 16.0)
+    np.testing.assert_allclose(make_plan(1.0, (0, 2), 0, 4, 64),
+                               [np.arange(5) / 16.0, excess / 16.0])
 
 
 def test_make_plan_all_zero_above_j1():
     plan = make_plan(5.0, 7, 0, 5, 100)
-    np.testing.assert_allclose(plan.t, 0.0)
+    np.testing.assert_allclose(plan, 0.0)
+    np.testing.assert_array_equal(make_plan(5.0, range(5, 9), 0, 5, 100), np.zeros((4, 6)))
 
 
 def test_make_plan_errors():
@@ -97,23 +113,35 @@ def test_make_plan_errors():
         make_plan(-1.0, 0, 0, 3, 100)
 
 
-def test_plan_invariants_enforced():
-    with pytest.raises(ValueError):
-        ThresholdPlan(u=2, rho=1.0, tau=0, j1=2, n=16, t=np.array([0.0, 0.1, 0.2]))
-    with pytest.raises(ValueError):
-        ThresholdPlan(u=-1, rho=1.0, tau=0, j1=2, n=16, t=np.array([0.3, 0.2, 0.1]))
-
-
-def test_flat_plan():
-    plan = flat_plan(0.25, 0, 4, 100)
-    np.testing.assert_allclose(plan.t, 0.25)
-    assert plan.u == -1
+@settings(max_examples=50, deadline=None)
+@given(rho=st.floats(1e-3, 1e3), tau=st.integers(0, 3), levels=st.integers(1, 12),
+       n=st.integers(2, 10 ** 6))
+def test_plan_invariants_enforced(rho, tau, levels, n):
+    # valid by construction: finite, nonnegative, nondecreasing in the level,
+    # zero at levels j <= u and positive above
+    j1 = tau + levels - 1
+    offsets = range(tau - 1, j1 + 2)
+    plan = make_plan(rho, offsets, tau, j1, n)
+    assert plan.shape == (len(offsets), levels)
+    assert np.all(np.isfinite(plan)) and np.all(np.diff(plan, axis=1) >= 0.0)
+    for u, row in zip(offsets, plan):
+        assert np.array_equal(row > 0.0, np.arange(tau, j1 + 1) > u)
 
 
 def expansion(beta_rows):
     j_max = len(beta_rows) - 1
     return WaveletExpansion(0, j_max, np.array([1.0]),
                             [np.asarray(r, dtype=float) for r in beta_rows])
+
+
+def test_flat_plan():
+    # a level-independent row (the universal baseline's) thresholds every level
+    e = expansion([[0.3], [0.4, -0.6], [0.1, -0.2, 0.25, 2.0]])
+    out = threshold_expansion(e, np.full((1, 3), 0.25), ThresholdRule("hard"))
+    assert out.alpha.shape == (1, 1)
+    np.testing.assert_array_equal(out.alpha, [[1.0]])
+    for got, want in zip(out.beta, [[[0.3]], [[0.4, -0.6]], [[0.0, 0.0, 0.25, 2.0]]]):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_threshold_expansion_identity_on_zero_plan():
@@ -127,7 +155,7 @@ def test_threshold_expansion_identity_on_zero_plan():
 
 def test_threshold_expansion_rules():
     e = expansion([[0.0], [0.4, -0.6]])
-    plan = ThresholdPlan(u=0, rho=1.0, tau=0, j1=1, n=16, t=np.array([0.0, 0.5]))
+    plan = np.array([0.0, 0.5])
     hard = threshold_expansion(e, plan, ThresholdRule("hard"))
     np.testing.assert_allclose(hard.beta[1], [0.0, -0.6])
     soft = threshold_expansion(e, plan, ThresholdRule("soft"))
@@ -154,6 +182,65 @@ def test_threshold_expansion_never_grows(seed, kind, u):
     np.testing.assert_array_equal(out.alpha, e.alpha)
     for got, want in zip(out.beta, e.beta):
         assert np.all(np.abs(got) <= np.abs(want) + 1e-12)
+
+
+def signed_floats(**kw):
+    """Floats with exact zeros of both signs mixed in."""
+    return st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, **kw))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["hard", "soft", "garrote"]),
+       t=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=5),
+       x=st.lists(signed_floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=12))
+def test_rule_with_a_column_of_thresholds_matches_scalar_calls(kind, t, x):
+    rule, x = ThresholdRule(kind), np.array(x)
+    column = np.array(t)[:, None]
+    stacked = apply_rule(rule, column, x)
+    assert stacked.shape == (len(t), len(x))
+    for tj, row in zip(t, stacked):
+        assert same_bits(row, apply_rule(rule, tj, x))
+    # a matrix of rows against their own thresholds, as a level of a stack
+    rows = np.tile(x, (len(t), 1))
+    assert same_bits(apply_rule(rule, column, rows), stacked)
+
+
+def test_rule_rejects_any_nonpositive_threshold_in_an_array():
+    for bad in (0.0, -1.0, NAN):
+        with pytest.raises(ValueError, match="threshold u must be positive"):
+            apply_rule(ThresholdRule("soft"), np.array([[0.5], [bad]]), np.ones(3))
+
+
+@pytest.mark.parametrize("kind", ["hard", "soft", "garrote"])
+def test_stack_rows_match_per_row_thresholding(kind):
+    rng = np.random.default_rng(5)
+    beta = [rng.standard_normal(1 << j) for j in range(6)]
+    beta[3][[0, 5]] = [0.0, -0.0]
+    e = WaveletExpansion(0, 5, rng.standard_normal(1), beta)
+    offsets = list(range(-1, 8))
+    stack = threshold_expansion(e, make_plan(1.5, offsets, 0, 5, 64), ThresholdRule(kind))
+    assert stack.alpha.shape == (len(offsets), 1)
+    for r, u in enumerate(offsets):
+        one = threshold_expansion(e, make_plan(1.5, u, 0, 5, 64), ThresholdRule(kind))
+        assert same_bits(stack.alpha[r], one.alpha) and same_bits(stack.alpha[r], e.alpha)
+        for got, want in zip(stack.beta, one.beta):
+            assert same_bits(got[r], want)
+
+
+def test_garrote_keeps_rows_with_zero_threshold_raw():
+    # garrote at t = 0 would divide 0/0 at a zero coefficient; such rows never see the rule
+    e = expansion([[0.0], [0.0, -0.6], [0.0, -0.0, 0.3, -2.0]])
+    t = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.5, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = threshold_expansion(e, t, ThresholdRule("garrote"))
+    assert all(np.isfinite(row).all() for row in out.beta)
+    for r in range(3):
+        assert same_bits(out.beta[0][r], e.beta[0])
+    assert same_bits(out.beta[1][:2], np.tile(e.beta[1], (2, 1)))
+    assert same_bits(out.beta[2][0], e.beta[2])
+    assert same_bits(out.beta[1][2], [0.0, -0.6 - 0.25 / -0.6])
+    assert same_bits(out.beta[2][1:], np.tile([0.0, 0.0, 0.0, -2.0 - 0.25 / -2.0], (2, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +301,11 @@ def test_nan_thresholds_are_rejected_where_they_enter():
     for rho in (NAN, INF, 0.0):
         with pytest.raises(ValueError, match="rho must be positive and finite"):
             make_plan(rho, 1, 0, 3, 100)
-    for threshold in (NAN, INF, -0.1):
-        with pytest.raises(ValueError, match="threshold must be finite and nonnegative"):
-            flat_plan(threshold, 0, 3, 100)
-    for bad in (NAN, INF):
-        with pytest.raises(ValueError, match="thresholds must be finite and nonnegative"):
-            ThresholdPlan(u=-1, rho=1.0, tau=0, j1=2, n=16, t=np.array([0.1, 0.2, bad]))
+    e = expansion([[0.7], [0.4, -0.6], [0.1, 0.2, 0.3, 0.4]])
+    for bad in (NAN, INF, -0.1):
+        for t in (np.array([0.1, 0.2, bad]), np.array([[0.0, 0.1, 0.2], [0.1, bad, 0.2]])):
+            with pytest.raises(ValueError, match="threshold must be finite and nonnegative"):
+                threshold_expansion(e, t, rule)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from multithresh.wavelets import (
     eval_periodized,
     midpoint_grid,
     synthesize_at,
-    synthesize_many,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -78,6 +77,13 @@ def ref_level_synth(family, kind, j, coeffs, x):
         out += coeffs[..., idx] * vals
     out *= 2.0 ** (j / 2.0)
     return out
+
+
+def stack_of(expansions):
+    """One expansion whose rows are the given expansions, which share their levels."""
+    first = expansions[0]
+    return WaveletExpansion(first.tau, first.j_max, np.array([e.alpha for e in expansions]),
+                            [np.array(rows) for rows in zip(*(e.beta for e in expansions))])
 
 
 def ref_synth(family, expansions, x):
@@ -254,7 +260,7 @@ def test_synthesis_rejects_non_finite_points(haar, db4, bad):
         with pytest.raises(ValueError, match="finite"):
             synthesize_at(family, e, np.array([0.3, bad]))
         with pytest.raises(ValueError, match="finite"):
-            synthesize_many(family, [e, e], np.array([bad]))
+            synthesize_at(family, stack_of([e, e]), np.array([bad]))
         # finite points outside [0, 1] stay valid: the series is 1-periodic
         np.testing.assert_array_equal(synthesize_at(family, e, [1.25, -0.75]),
                                       synthesize_at(family, e, [0.25, 0.25]))
@@ -302,6 +308,22 @@ def test_expansion_validation():
         WaveletExpansion(0, 1, np.array([1.0]), [np.array([1.0]), np.array([1.0])])
     with pytest.raises(ValueError):
         WaveletExpansion(0, 0, np.array([np.nan]), [np.array([1.0])])
+    # a stack: one leading row axis, the same for alpha and every beta row
+    WaveletExpansion(0, 1, np.ones((3, 1)), [np.ones((3, 1)), np.ones((3, 2))])
+    WaveletExpansion(0, -1, np.ones((3, 1)), [])
+    for alpha, beta in [
+        (np.ones((3, 1)), [np.ones((2, 1)), np.ones((3, 2))]),  # row counts differ
+        (np.ones((3, 1)), [np.ones((3, 1)), np.ones(2)]),  # one level not stacked
+        (np.ones(1), [np.ones((3, 1)), np.ones((3, 2))]),  # alpha not stacked
+        (np.ones((2, 3, 1)), [np.ones((2, 3, 1)), np.ones((2, 3, 2))]),  # two row axes
+        (np.float64(1.0), [np.ones(1), np.ones(2)]),  # no coefficient axis
+    ]:
+        with pytest.raises(ValueError):
+            WaveletExpansion(0, 1, alpha, beta)
+    bad = np.ones((3, 2))
+    bad[2, 0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        WaveletExpansion(0, 1, np.ones((3, 1)), [np.ones((3, 1)), bad])
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +453,29 @@ def test_synthesis_at_points_matches_reference_stencil(name):
         es = [random_expansion(rng, family.tau, j_max) for _ in range(3)]
         x = edge_points(rng, j_max)
         assert same_bits(synthesize_at(family, es[0], x), ref_synth(family, es[:1], x)[0])
-        assert same_bits(synthesize_many(family, es, x), ref_synth(family, es, x))
+        assert same_bits(synthesize_at(family, stack_of(es), x), ref_synth(family, es, x))
         x2 = x[:600].reshape(20, 30)
-        assert same_bits(synthesize_many(family, es, x2), ref_synth(family, es, x2))
+        assert same_bits(synthesize_at(family, stack_of(es), x2), ref_synth(family, es, x2))
+
+
+@pytest.mark.parametrize("name", ["Haar", "Daubechies4", "Daubechies8"])
+def test_stack_synthesis_matches_per_row_synthesis(name):
+    # rows + x.shape, each row with the bits of its own synthesis: at points, on grids
+    # with and without tables, and with -0.0 and zero rows in the stack
+    family = FAMILIES[name]
+    rng = np.random.default_rng(29)
+    for j_max in (family.tau - 1, family.tau + 2, 10):
+        es = [random_expansion(rng, family.tau, j_max) for _ in range(4)]
+        es[1].alpha[:] = -0.0
+        for row in es[2].beta:
+            row[:] = 0.0
+        stack = stack_of(es)
+        for x in (edge_points(rng, j_max), midpoint_grid(2 ** 12), midpoint_grid(2 ** 7),
+                  midpoint_grid(1000), edge_points(rng, j_max)[:60].reshape(3, 4, 5)):
+            values = synthesize_at(family, stack, x)
+            assert values.shape == (len(es),) + x.shape
+            for e, got in zip(es, values):
+                assert same_bits(got, synthesize_at(family, e, x))
 
 
 @pytest.mark.parametrize("size", [2 ** 10, 2 ** 14, 1000])
