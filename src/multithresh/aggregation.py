@@ -3,8 +3,10 @@
 The multi-thresholding estimator splits the sample into a training part
 (first m observations, used to build one clipped thresholded estimator per
 level offset u) and a learning part (last l observations, used to form
-empirical risks). Candidates are combined either by exponential weights
-proportional to exp(-l * empirical risk) or by empirical risk minimization.
+empirical risks). Each estimator is its clipped values on the quadrature
+grid: row r of ``grid_rows`` is the candidate of offset ``diag.u_grid[r]``,
+combined either by exponential weights proportional to exp(-l * empirical
+risk) into a mixture or by empirical risk minimization into one of the rows.
 
 Also houses the theoretical constants of the oracle-inequality residual
 (beta1, beta2) so that reports can evaluate the formal bound.
@@ -13,7 +15,7 @@ Also houses the theoretical constants of the oracle-inequality residual
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,19 +72,18 @@ class LossSpec:
             raise ValueError("grid_size must be at least 2")
 
 
-def empirical_risk(loss: LossSpec, grid_values: np.ndarray, learn_values: np.ndarray,
-                   learn: DensitySample | RegressionSample) -> float:
-    """Empirical risk of a candidate from its clipped values on a learning subsample.
+def empirical_risks(loss: LossSpec, grid_rows, learn_values: np.ndarray,
+                    learn: DensitySample | RegressionSample) -> np.ndarray:
+    """Empirical risk of every candidate from its clipped values on a learning subsample.
 
-    ``grid_values`` are the candidate's values on the quadrature grid and
-    ``learn_values`` its values at the learning points ``learn.x``.
+    ``grid_rows[r]`` are candidate r's values on the quadrature grid and row r
+    of the ``(M, l)`` array ``learn_values`` its values at ``learn.x``.
     Regression: mean squared prediction error. Density: integral of the
-    squared candidate (midpoint quadrature) minus twice the sample mean of
-    the candidate.
+    squared candidate (midpoint quadrature) minus twice its sample mean.
     """
     if loss.model == "regression":
-        return float(np.mean((learn.y - learn_values) ** 2))
-    return float(np.mean(grid_values ** 2) - 2.0 * np.mean(learn_values))
+        return np.mean((learn.y - learn_values) ** 2, axis=-1)
+    return np.array([np.mean(row ** 2) for row in grid_rows]) - 2.0 * np.mean(learn_values, axis=-1)
 
 
 def aew_weights(risks, sample_size: int) -> np.ndarray:
@@ -110,14 +111,6 @@ def erm_select(risks) -> int:
 # Candidates and mixtures
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CandidateEstimator:
-    """A clipped thresholded estimator: its level offset u and its quadrature-grid values."""
-
-    u: int
-    grid_values: np.ndarray = field(repr=False)
-
-
 def _clipped_values(family: WaveletFamily, expansion: WaveletExpansion, x: np.ndarray,
                     loss: LossSpec) -> np.ndarray:
     """The expansion (or each row of a stack) synthesized at the points x and clipped to [0, B]."""
@@ -126,28 +119,18 @@ def _clipped_values(family: WaveletFamily, expansion: WaveletExpansion, x: np.nd
     return np.clip(values, 0.0, loss.B, out=values)
 
 
-@dataclass
-class MixtureEstimator:
-    """Convex combination of clipped candidates (clipping before averaging)."""
-
-    candidates: list[CandidateEstimator]
-    weights: np.ndarray
-    grid_values: np.ndarray = field(repr=False)
-
-
-def aggregate_mixture(candidates, weights, loss: LossSpec) -> MixtureEstimator:
+def aggregate_mixture(grid_rows, weights, loss: LossSpec) -> np.ndarray:
     """Pointwise weighted average of clipped candidates, clipped to [0, B] against rounding."""
     weights = np.asarray(weights, dtype=float)
-    if len(candidates) != len(weights):
+    if len(grid_rows) != len(weights):
         raise ValueError("one weight per candidate required")
     # written positively so that NaN fails it too
     if not (np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-12):
         raise ValueError("weights must be a probability vector")
-    grid_values = np.zeros_like(candidates[0].grid_values)
-    for w, cand in zip(weights, candidates):
-        grid_values += w * cand.grid_values
-    np.clip(grid_values, 0.0, loss.B, out=grid_values)
-    return MixtureEstimator(list(candidates), weights, grid_values)
+    mixture = np.zeros_like(grid_rows[0])
+    for w, row in zip(weights, grid_rows):
+        mixture += w * row
+    return np.clip(mixture, 0.0, loss.B, out=mixture)
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +180,14 @@ def multi_threshold_candidates(
     rule: ThresholdRule,
     loss: LossSpec,
     rho: float | None = None,
-) -> tuple[list[CandidateEstimator], AggregationDiagnostics]:
+) -> tuple[list[np.ndarray], AggregationDiagnostics]:
     """Build and score one clipped thresholded candidate per level offset.
 
     Splits the data, estimates coefficients on the training part, thresholds
     them once per offset in the candidate grid, and scores every candidate
-    on the learning part. The diagnostics carry both the exponential weights
-    and the empirical-risk-minimizing index, so either aggregation scheme can
-    be assembled from the same candidates.
+    on the learning part. Returns ``(grid_rows, diag)``; ``diag`` carries both
+    the exponential weights and the empirical-risk-minimizing index, so either
+    aggregation scheme can be assembled from the same rows.
     """
     n = data.n
     if rho is None:
@@ -223,12 +206,10 @@ def multi_threshold_candidates(
     learn_values = _clipped_values(family, stack, learn.x, loss)
     # the grid goes one row at a time: a row's values stay in cache, the whole stack's do not
     grid = midpoint_grid(loss.grid_size)
-    candidates = []
-    for r, u in enumerate(u_grid):
-        row = WaveletExpansion(stack.tau, stack.j_max, stack.alpha[r], [b[r] for b in stack.beta])
-        candidates.append(CandidateEstimator(u, _clipped_values(family, row, grid, loss)))
-    risks = np.array([empirical_risk(loss, c.grid_values, values, learn)
-                      for c, values in zip(candidates, learn_values)])
+    rows = (WaveletExpansion(stack.tau, stack.j_max, stack.alpha[r], [b[r] for b in stack.beta])
+            for r in range(len(u_grid)))
+    grid_rows = [_clipped_values(family, row, grid, loss) for row in rows]
+    risks = empirical_risks(loss, grid_rows, learn_values, learn)
 
     weights = aew_weights(risks, l)
     erm_index = erm_select(risks)
@@ -236,7 +217,7 @@ def multi_threshold_candidates(
         u_grid=u_grid, risks=risks, weights=weights, erm_index=erm_index,
         rho=float(rho), m=m, l=l, j1=j1,
     )
-    return candidates, diag
+    return grid_rows, diag
 
 
 def multi_threshold_estimate(
@@ -249,18 +230,18 @@ def multi_threshold_estimate(
 ):
     """Build, score and combine one thresholded candidate per level offset.
 
-    Returns ``(estimator, diagnostics)`` where the estimator is the
-    exponential-weights mixture (scheme "AEW") or the empirical-risk
-    minimizer (scheme "ERM"). ``rho`` defaults to the smallest constant
-    satisfying the model's deviation condition; pass a smaller value for
-    less conservative thresholds.
+    Returns ``(estimate, grid_rows, diag)``: the exponential-weights mixture
+    (scheme "AEW") or ``grid_rows[diag.erm_index]`` (scheme "ERM"), and
+    the output of ``multi_threshold_candidates``. ``rho`` defaults to the
+    smallest constant satisfying the model's deviation condition; pass a
+    smaller value for less conservative thresholds.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    candidates, diag = multi_threshold_candidates(data, family, rule, loss, rho=rho)
+    grid_rows, diag = multi_threshold_candidates(data, family, rule, loss, rho=rho)
     if scheme == "ERM":
-        return candidates[diag.erm_index], diag
-    return aggregate_mixture(candidates, diag.weights, loss), diag
+        return grid_rows[diag.erm_index], grid_rows, diag
+    return aggregate_mixture(grid_rows, diag.weights, loss), grid_rows, diag
 
 
 def universal_threshold_estimate(
@@ -269,18 +250,18 @@ def universal_threshold_estimate(
     rule: ThresholdRule,
     loss: LossSpec,
     c: float = 1.0,
-) -> CandidateEstimator:
+) -> np.ndarray:
     """Single-candidate baseline: flat threshold c sqrt(log n / n), full sample.
 
-    A stack of one candidate, whose offset tau - 1 thresholds every level.
+    Returns its clipped grid values: a stack of one flat row, which
+    thresholds every level.
     """
     n = data.n
     j1 = j1_level(n)
     raw = _model_coeffs(data, family, j1, loss)
     flat = np.full((1, j1 - family.tau + 1), c * math.sqrt(math.log(n) / n))
     stack = threshold_expansion(raw, flat, rule)
-    grid_values = _clipped_values(family, stack, midpoint_grid(loss.grid_size), loss)[0]
-    return CandidateEstimator(family.tau - 1, grid_values)
+    return _clipped_values(family, stack, midpoint_grid(loss.grid_size), loss)[0]
 
 
 # ---------------------------------------------------------------------------

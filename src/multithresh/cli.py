@@ -339,18 +339,18 @@ def cmd_estimate(args) -> int:
     loss = LossSpec(model, cfg["B"], grid_size)
     sample = read_sample_file(args.input, model)
     try:
-        estimator, diag = multi_threshold_estimate(
+        estimate, grid_rows, diag = multi_threshold_estimate(
             sample, setup.family, ThresholdRule(cfg["rule"]), loss, rho=cfg["rho"], scheme=scheme
         )
     except ValueError as exc:
         raise DataError(f"{args.input}: {exc}") from exc
 
     header = ["x", "f_tilde"]
-    columns = [midpoint_grid(grid_size), estimator.grid_values]
-    # an ERM estimate is a single candidate and has no per-candidate columns
-    for cand in getattr(estimator, "candidates", []) if args.per_candidate else []:
-        header.append(f"candidate_u{cand.u}")
-        columns.append(cand.grid_values)
+    columns = [midpoint_grid(grid_size), estimate]
+    # an ERM estimate is one of the rows, so only a mixture gets per-candidate columns
+    if args.per_candidate and scheme == "AEW":
+        header += [f"candidate_u{u}" for u in diag.u_grid]
+        columns += grid_rows
     out = Path(args.out)
     _write_csv(out, header, np.column_stack(columns))
 
@@ -380,6 +380,7 @@ _ROW_COLUMNS = {
     "candidate_risk": float, "weight": float, "aggregate_risk": float, "erm_risk": float,
     "chosen_u": int, "universal_risk": lambda text: float(text) if text else None,
 }
+_CANDIDATE_COLUMNS = ("u", "candidate_risk", "weight")  # the rest is one replication's
 
 
 def results_to_rows(results: list[ExperimentResult], scheme: str, rule: str) -> list[list]:
@@ -396,7 +397,11 @@ def results_to_rows(results: list[ExperimentResult], scheme: str, rule: str) -> 
 
 
 def rows_to_results(path: str) -> list[ExperimentResult]:
-    """Rebuild experiment results from a rates CSV (inverse of results_to_rows)."""
+    """Rebuild experiment results from a rates CSV (inverse of results_to_rows).
+
+    A NaN, a replication column that differs between the rows of one (model,
+    target, n, rep), or a ``u`` repeated within one is a data error.
+    """
     grouped: dict[tuple, tuple[dict, dict]] = {}
     try:
         with open(path, newline="") as fh:
@@ -412,7 +417,16 @@ def rows_to_results(path: str) -> list[ExperimentResult]:
                 except ValueError as exc:
                     raise DataError(f"{path}:{reader.line_num}: malformed row: {exc}") from exc
                 key = (values["model"], values["target"], values["n"], values["rep"])
-                by_u = grouped.setdefault(key, (values, {}))[1]
+                first, by_u = grouped.setdefault(key, (values, {}))
+                for column, value in values.items():
+                    problem = (
+                        "is NaN" if isinstance(value, float) and math.isnan(value)
+                        else "repeats within its replication" if column == "u" and value in by_u
+                        else "differs from its replication's first row"
+                        if column not in _CANDIDATE_COLUMNS and value != first[column] else "")
+                    if problem:
+                        raise DataError(f"{path}:{reader.line_num}: {column} = {row[column]!r} "
+                                        + problem)
                 by_u[values["u"]] = (values["candidate_risk"], values["weight"])
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc

@@ -140,16 +140,12 @@ def monte_carlo(config: MonteCarloConfig) -> list[ExperimentResult]:
                 sample = sample_density(target, n, rng)
             else:
                 sample = sample_regression(target, n, config.noise, rng)
-            candidates, diag = multi_threshold_candidates(
-                sample, family, rule, loss, rho=config.rho
-            )
-            cand_risks = [risk(c.grid_values) for c in candidates]
-            universal_risk = None
-            if config.include_universal:
-                baseline = universal_threshold_estimate(
-                    sample, family, rule, loss, c=config.universal_c
-                )
-                universal_risk = risk(baseline.grid_values)
+            grid_rows, diag = multi_threshold_candidates(sample, family, rule, loss, rho=config.rho)
+            # row by row: one grid row stays in cache, the (M, N) stack does not
+            cand_risks = [risk(row) for row in grid_rows]
+            universal_risk = risk(universal_threshold_estimate(
+                sample, family, rule, loss, c=config.universal_c
+            )) if config.include_universal else None
             results.append(ExperimentResult(
                 model=config.model,
                 target=config.target,
@@ -157,7 +153,7 @@ def monte_carlo(config: MonteCarloConfig) -> list[ExperimentResult]:
                 rep=rep,
                 root_seed=config.root_seed,
                 candidate_risks=tuple(cand_risks),
-                aggregate_risk=risk(aggregate_mixture(candidates, diag.weights, loss).grid_values),
+                aggregate_risk=risk(aggregate_mixture(grid_rows, diag.weights, loss)),
                 erm_risk=cand_risks[diag.erm_index],
                 weights=tuple(float(w) for w in diag.weights),
                 chosen_u=diag.chosen_u,

@@ -16,6 +16,7 @@ share no generator state and any single replication can be replayed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -56,6 +57,12 @@ class TargetFunction:
     def clip_bound(self) -> float:
         """The loss's clip ceiling B = max(1, bound); 1 for every regression target."""
         return max(1.0, self.bound)
+
+    @functools.cached_property
+    def audit_range(self) -> tuple[float, float]:
+        """Smallest and largest value on the audit grid, evaluated once per target."""
+        fvals = self(midpoint_grid(AUDIT_GRID_SIZE))
+        return float(fvals.min()), float(fvals.max())
 
 
 # the four density shapes: function, sup bound and smoothness label (s, p, q)
@@ -135,8 +142,8 @@ def check_noise(target: TargetFunction, noise: str) -> None:
         lo, hi = UNIFORM_NOISE_DELTA, 1.0 - UNIFORM_NOISE_DELTA
     else:
         raise ValueError(f"unknown noise kind {noise!r}")
-    fvals = target(midpoint_grid(AUDIT_GRID_SIZE))
-    if np.any(fvals < lo) or np.any(fvals > hi):
+    low, high = target.audit_range
+    if low < lo or high > hi:
         raise ValueError(f"{noise} noise requires target values in [{lo}, {hi}]; "
                          f"{target.name!r} leaves that range")
 

@@ -3,12 +3,12 @@
 
 Usage: PYTHONPATH=src python tests/golden/record.py
 
-Runs ``simulate``, ``estimate --per-candidate``, ``rates`` and every ``check``
-subcommand at small sizes and writes each output beside this script. The
-golden test calls ``produce`` and compares its outputs with the files:
-Haar outputs byte for byte, Daubechies outputs (names containing "db")
-number by number within 1e-12 absolute. Re-record only for an intended change
-of output.
+Runs ``simulate``, ``estimate --per-candidate`` (AEW, and ERM once), ``rates``
+and every ``check`` subcommand at small sizes and writes each output beside
+this script. The golden test calls ``produce`` and compares its outputs with
+the files: Haar outputs byte for byte, Daubechies outputs (names containing
+"db") number by number within 1e-12 absolute. Re-record only for an intended
+change of output.
 """
 
 from __future__ import annotations
@@ -71,6 +71,12 @@ def produce(workdir: Path) -> dict[str, bytes]:
               "--grid-size", grid_size, "--per-candidate", "--input", sample, "--out", est])
         keep(f"{name}.csv", est)
         keep(f"{name}.csv.diag.txt", est.with_suffix(".csv.diag.txt"))
+    # an ERM estimate is one candidate's row: --per-candidate adds no columns
+    erm = workdir / "estimate_haar_erm.csv"
+    _run(["estimate", "--model", "density", "--family", "Haar", "--scheme", "ERM", "--rho", "1.0",
+          "--grid-size", 1024, "--per-candidate", "--input", density, "--out", erm])
+    keep("estimate_haar_erm.csv", erm)
+    keep("estimate_haar_erm.csv.diag.txt", erm.with_suffix(".csv.diag.txt"))
 
     for name, model, family in [("rates_haar", "density", "Haar"),
                                 ("rates_db4", "regression", "Daubechies4")]:

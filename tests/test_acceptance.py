@@ -160,10 +160,10 @@ def test_criterion_5_jensen_convexity():
                 sample = sample_density(target, 1024, rng)
             else:
                 sample = sample_regression(target, 1024, "bernoulli", rng)
-            cands, diag = multi_threshold_candidates(sample, family, rule, loss)
-            risks = np.array([np.mean((c.grid_values - tvals) ** 2) for c in cands])
-            mix = aggregate_mixture(cands, diag.weights, loss)
-            mix_risk = float(np.mean((mix.grid_values - tvals) ** 2))
+            rows, diag = multi_threshold_candidates(sample, family, rule, loss)
+            risks = np.array([np.mean((row - tvals) ** 2) for row in rows])
+            mix = aggregate_mixture(rows, diag.weights, loss)
+            mix_risk = float(np.mean((mix - tvals) ** 2))
             checked += 1
             if mix_risk > float(diag.weights @ risks) + 1e-10:
                 failures += 1

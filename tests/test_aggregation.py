@@ -12,13 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multithresh.aggregation import (
-    CandidateEstimator,
     LossSpec,
     aew_weights,
     aggregate_mixture,
     beta_constants,
     candidate_grid,
-    empirical_risk,
+    empirical_risks,
     erm_select,
     multi_threshold_candidates,
     multi_threshold_estimate,
@@ -72,24 +71,46 @@ def test_loss_spec_validation():
         LossSpec("regression", 1.0, 1)
 
 
-def test_empirical_risk_examples():
+def test_empirical_risks_examples():
     reg = LossSpec("regression", 1.0, 2 ** 10)
     grid = midpoint_grid(2 ** 10)
     data = RegressionSample(np.full(16, 0.5), np.concatenate([[1.0], np.ones(15)]))
-    assert empirical_risk(reg, np.zeros_like(grid), np.zeros(16), data) == pytest.approx(1.0)
+    assert empirical_risks(reg, [np.zeros_like(grid)], np.zeros((1, 16)), data) \
+        == pytest.approx([1.0])
 
     den = LossSpec("density", 1.0, 2 ** 10)
     sample = DensitySample(np.linspace(0.1, 0.9, 16))
-    assert empirical_risk(den, np.ones_like(grid), np.ones(16), sample) == pytest.approx(-1.0)
     # the integral term is the mean of the squared grid values
-    assert empirical_risk(den, np.full_like(grid, 2.0), np.ones(16), sample) \
-        == pytest.approx(2.0)
+    rows = [np.ones_like(grid), np.full_like(grid, 2.0)]
+    assert empirical_risks(den, rows, np.ones((2, 16)), sample) == pytest.approx([-1.0, 2.0])
 
     # noiseless regression at the truth has zero risk
     xs = np.linspace(0.05, 0.95, 16)
     f = lambda x: 0.25 + 0.5 * x
     noiseless = RegressionSample(xs, f(xs))
-    assert empirical_risk(reg, f(grid), f(xs), noiseless) == pytest.approx(0.0, abs=1e-15)
+    assert empirical_risks(reg, [f(grid)], f(xs)[None], noiseless) \
+        == pytest.approx([0.0], abs=1e-15)
+
+
+@pytest.mark.parametrize("model", ["density", "regression"])
+@pytest.mark.parametrize("n", [62, 512, 8192, 65536])
+def test_empirical_risks_match_the_per_row_formulas(model, n):
+    # the row reduction has the bits of the scalar formula of each row alone
+    rng = np.random.default_rng(n)
+    l = split_sample(n)[1]
+    loss = LossSpec(model, 2.0 if model == "density" else 1.0, 2 ** 12)
+    learn = DensitySample(rng.uniform(size=l)) if model == "density" else \
+        RegressionSample(rng.uniform(size=l), (rng.uniform(size=l) < 0.5).astype(float))
+    for M in range(2, 15):
+        values = rng.uniform(0.0, loss.B, size=(M, l))
+        grid_rows = [rng.uniform(0.0, loss.B, size=loss.grid_size) for _ in range(M)]
+        if model == "regression":
+            want = [float(np.mean((learn.y - v) ** 2)) for v in values]
+        else:
+            want = [float(np.mean(g ** 2) - 2.0 * np.mean(v)) for g, v in zip(grid_rows, values)]
+        got = empirical_risks(loss, grid_rows, values, learn)
+        assert got.shape == (M,)
+        assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
 
 
 def test_aew_weights_values():
@@ -184,23 +205,20 @@ def test_candidate_grid():
 def test_aggregate_mixture_point_mass(haar):
     sample = sample_density(get_target("triangle", "density"), 256, 1)
     loss = LossSpec("density", 2.0, 2 ** 12)
-    cands, diag = multi_threshold_candidates(sample, haar, ThresholdRule("hard"), loss)
-    point = np.zeros(len(cands))
+    rows, diag = multi_threshold_candidates(sample, haar, ThresholdRule("hard"), loss)
+    point = np.zeros(len(rows))
     point[0] = 1.0
-    mix = aggregate_mixture(cands, point, loss)
-    np.testing.assert_array_equal(mix.grid_values, cands[0].grid_values)
-    assert mix.candidates == cands
-    np.testing.assert_array_equal(mix.weights, point)
+    np.testing.assert_array_equal(aggregate_mixture(rows, point, loss), rows[0])
 
 
 def const_candidate(c):
-    return CandidateEstimator(u=0, grid_values=np.full(2 ** 10, c))
+    return np.full(2 ** 10, c)
 
 
 def test_aggregate_mixture_of_constants(haar):
     loss = LossSpec("regression", 1.0, 2 ** 10)
     mix = aggregate_mixture([const_candidate(0.0), const_candidate(1.0)], [0.5, 0.5], loss)
-    np.testing.assert_allclose(mix.grid_values, 0.5)
+    np.testing.assert_allclose(mix, 0.5)
     with pytest.raises(ValueError):
         aggregate_mixture([const_candidate(0.0)], [0.7], loss)
 
@@ -225,15 +243,14 @@ def candidate_stack(sample, family, rule, diag):
 def test_mixture_stays_in_clip_range(haar):
     sample = sample_density(get_target("triangle", "density"), 512, 3)
     loss = LossSpec("density", 2.0, 2 ** 12)
-    est, diag = multi_threshold_estimate(sample, haar, ThresholdRule("hard"), loss, rho=1.0)
-    assert np.all(est.grid_values >= 0.0)
-    assert np.all(est.grid_values <= 2.0)
+    est, rows, diag = multi_threshold_estimate(sample, haar, ThresholdRule("hard"), loss, rho=1.0)
+    assert np.all(est >= 0.0)
+    assert np.all(est <= 2.0)
     # clipping before averaging: the raw expansions overshoot, the candidates do not
     stack = candidate_stack(sample, haar, ThresholdRule("hard"), diag)
     raw = synthesize_at(haar, stack, midpoint_grid(2 ** 12))
     assert raw.max() > 2.0 and raw.min() < 0.0
-    np.testing.assert_array_equal([c.grid_values for c in est.candidates],
-                                  np.clip(raw, 0.0, 2.0))
+    np.testing.assert_array_equal(rows, np.clip(raw, 0.0, 2.0))
 
 
 @functools.lru_cache(maxsize=None)
@@ -261,13 +278,13 @@ def test_grid_values_in_clip_range(model, family, rule, n, seed, concentration, 
     mix = aggregate_mixture(cands, diag.weights, loss)
     base = universal_threshold_estimate(sample, family, rule, loss)
     for est in [*cands, mix, base]:
-        assert np.all(est.grid_values >= 0.0) and np.all(est.grid_values <= loss.B)
+        assert np.all(est >= 0.0) and np.all(est <= loss.B)
 
 
 def test_pipeline_diagnostics_invariants(haar):
     sample = sample_density(get_target("bump", "density"), 1024, 17)
     loss = LossSpec("density", 1.9, 2 ** 12)
-    est, diag = multi_threshold_estimate(sample, haar, ThresholdRule("hard"), loss)
+    est, _, diag = multi_threshold_estimate(sample, haar, ThresholdRule("hard"), loss)
     assert diag.m == 876 and diag.l == 148 and diag.j1 == 8
     assert diag.u_grid == tuple(range(9))
     assert np.all(diag.weights >= 0)
@@ -280,9 +297,9 @@ def test_pipeline_diagnostics_invariants(haar):
 def test_pipeline_deterministic(haar):
     sample = sample_regression(get_target("triangle", "regression"), 256, "bernoulli", 5)
     loss = LossSpec("regression", 1.0, 2 ** 12)
-    est1, d1 = multi_threshold_estimate(sample, haar, ThresholdRule("soft"), loss, rho=1.0)
-    est2, d2 = multi_threshold_estimate(sample, haar, ThresholdRule("soft"), loss, rho=1.0)
-    np.testing.assert_array_equal(est1.grid_values, est2.grid_values)
+    est1, _, d1 = multi_threshold_estimate(sample, haar, ThresholdRule("soft"), loss, rho=1.0)
+    est2, _, d2 = multi_threshold_estimate(sample, haar, ThresholdRule("soft"), loss, rho=1.0)
+    np.testing.assert_array_equal(est1, est2)
     np.testing.assert_array_equal(d1.risks, d2.risks)
 
 
@@ -297,21 +314,22 @@ def test_learning_points_share_one_stencil(name, model):
     else:
         sample = sample_regression(target, 2048, "bernoulli", 4)
         loss = LossSpec("regression", 1.0, 2 ** 12)
-    candidates, diag = multi_threshold_candidates(sample, family, ThresholdRule("hard"), loss,
-                                                  rho=1.0)
+    grid_rows, diag = multi_threshold_candidates(sample, family, ThresholdRule("hard"), loss,
+                                                 rho=1.0)
     learn = sample.subset(slice(diag.m, sample.n))
     stack = candidate_stack(sample, family, ThresholdRule("hard"), diag)
     shared = synthesize_at(family, stack, learn.x)
     assert shared.shape == (diag.M, diag.l)
     grid = midpoint_grid(loss.grid_size)
-    for r, (cand, values, risk) in enumerate(zip(candidates, shared, diag.risks)):
+    clipped = []
+    for r, (grid_row, values) in enumerate(zip(grid_rows, shared)):
         row = WaveletExpansion(stack.tau, stack.j_max, stack.alpha[r], [b[r] for b in stack.beta])
         own = synthesize_at(family, row, learn.x)
         assert np.array_equal(values.view(np.int64), own.view(np.int64))
-        assert np.array_equal(cand.grid_values,
-                              np.clip(synthesize_at(family, row, grid), 0.0, loss.B))
-        clipped = np.clip(own, 0.0, loss.B)
-        assert empirical_risk(loss, cand.grid_values, clipped, learn) == risk
+        assert np.array_equal(grid_row, np.clip(synthesize_at(family, row, grid), 0.0, loss.B))
+        clipped.append(np.clip(own, 0.0, loss.B))
+    risks = empirical_risks(loss, grid_rows, np.array(clipped), learn)
+    assert np.array_equal(risks.view(np.int64), diag.risks.view(np.int64))
 
 
 def test_candidates_keep_only_the_grid_tables_they_need():
@@ -327,13 +345,13 @@ def test_candidates_keep_only_the_grid_tables_they_need():
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                candidates, diag = multi_threshold_candidates(
+                grid_rows, diag = multi_threshold_candidates(
                     sample, family, ThresholdRule("hard"), LossSpec("density", 2.0, size), rho=1.0)
                 gc.collect()
                 retained = tracemalloc.get_traced_memory()[0] - before
             finally:
                 tracemalloc.stop()
-            held = sum(c.grid_values.nbytes for c in candidates)
+            held = sum(row.nbytes for row in grid_rows)
             tables = [t for (_, _, n), t in family.grid_tables.items() if n == size]
             held += sum(t.nbytes for t in tables)
             # a learning-point stencil kept for all levels (int32 shift bases and
@@ -353,9 +371,10 @@ def test_candidates_keep_only_the_grid_tables_they_need():
 def test_pipeline_erm_scheme_returns_candidate(haar):
     sample = sample_density(get_target("triangle", "density"), 256, 9)
     loss = LossSpec("density", 2.0, 2 ** 12)
-    est, diag = multi_threshold_estimate(
+    est, rows, diag = multi_threshold_estimate(
         sample, haar, ThresholdRule("hard"), loss, scheme="ERM")
-    assert est.u == diag.chosen_u
+    assert est is rows[diag.erm_index]
+    assert diag.chosen_u == diag.u_grid[diag.erm_index]
     with pytest.raises(ValueError):
         multi_threshold_estimate(sample, haar, ThresholdRule("hard"), loss, scheme="best")
 
@@ -375,11 +394,11 @@ def test_jensen_convexity_small(haar):
     tvals = target(grid)
     for seed in range(10):
         sample = sample_density(target, 1024, seed)
-        cands, diag = multi_threshold_candidates(
+        rows, diag = multi_threshold_candidates(
             sample, haar, ThresholdRule("hard"), loss, rho=2.0)
-        risks = np.array([np.mean((c.grid_values - tvals) ** 2) for c in cands])
-        mix = aggregate_mixture(cands, diag.weights, loss)
-        mix_risk = float(np.mean((mix.grid_values - tvals) ** 2))
+        risks = np.array([np.mean((row - tvals) ** 2) for row in rows])
+        mix = aggregate_mixture(rows, diag.weights, loss)
+        mix_risk = float(np.mean((mix - tvals) ** 2))
         assert mix_risk <= float(diag.weights @ risks) + 1e-10
 
 
@@ -398,12 +417,9 @@ def test_uniform_density_aggregate_mise(haar):
 
     for rep in range(reps):
         sample = sample_density(target, n, derive_rng(99, n, rep))
-        est, diag = multi_threshold_estimate(sample, haar, ThresholdRule("hard"), loss)
-        mises[rep] = float(np.mean((est.grid_values - 1.0) ** 2))
-        worst = max(worst, float(np.mean(
-            (np.array([c.grid_values for c in
-                       multi_threshold_candidates(sample, haar, ThresholdRule("hard"), loss)[0]])
-             - 1.0) ** 2, axis=1).max()))
+        est, rows, diag = multi_threshold_estimate(sample, haar, ThresholdRule("hard"), loss)
+        mises[rep] = float(np.mean((est - 1.0) ** 2))
+        worst = max(worst, float(np.mean((np.array(rows) - 1.0) ** 2, axis=1).max()))
     m = diag.m
     assert mises.mean() <= 3.0 / m + 5e-4
     assert worst > 10 * mises.mean()
@@ -414,14 +430,13 @@ def test_universal_threshold_baseline(haar):
     sample = sample_density(target, 1024, 31)
     loss = LossSpec("density", 2.0, 2 ** 12)
     base = universal_threshold_estimate(sample, haar, ThresholdRule("hard"), loss)
-    assert np.all(base.grid_values >= 0.0) and np.all(base.grid_values <= 2.0)
-    assert base.u == haar.tau - 1
+    assert np.all(base >= 0.0) and np.all(base <= 2.0)
     # flat threshold c sqrt(log n / n) across all levels, on the full sample
     j1 = j1_level(1024)
     flat = np.full(j1 - haar.tau + 1, math.sqrt(math.log(1024) / 1024))
     one = threshold_expansion(density_coeffs(sample, haar, j1), flat, ThresholdRule("hard"))
     want = np.clip(synthesize_at(haar, one, midpoint_grid(2 ** 12)), 0.0, 2.0)
-    assert np.array_equal(base.grid_values.view(np.int64), want.view(np.int64))
+    assert np.array_equal(base.view(np.int64), want.view(np.int64))
 
 
 def test_nan_threshold_constants_are_rejected(haar):

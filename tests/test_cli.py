@@ -81,7 +81,13 @@ def test_estimate_per_candidate_columns(tmp_path):
                 "--grid-size", 2048, "--per-candidate"]) == 0
     header = out.read_text().splitlines()[0].split(",")
     assert header[:2] == ["x", "f_tilde"]
-    assert any(c.startswith("candidate_u") for c in header)
+    u_grid = dict(line.split(" = ") for line in
+                  (tmp_path / "est.csv.diag.txt").read_text().splitlines())["u_grid"]
+    assert header[2:] == [f"candidate_u{u}" for u in u_grid.split(",")]
+    # an ERM estimate is one of the candidates and writes no columns of them
+    assert run(["estimate", "--model", "regression", "--input", raw, "--out", out,
+                "--grid-size", 2048, "--per-candidate", "--scheme", "ERM"]) == 0
+    assert out.read_text().splitlines()[0] == "x,f_tilde"
 
 
 @pytest.mark.parametrize("model,line", [("density", "nan"), ("regression", "0.5,nan"),
@@ -531,6 +537,32 @@ def test_check_oracle_bad_rows_are_data_errors(tmp_path, capsys):
         assert run(["check", "oracle", "--input", path]) == 2
         err = capsys.readouterr().err
         assert "data error:" in err and message in err and "Traceback" not in err
+
+    # rows that contradict each other: a NaN, a replication column that differs
+    # between the rows of one replication, a candidate offset given twice
+    lines = density.read_text().splitlines()
+    columns = lines[0].split(",")
+    last = len(lines)  # file line of the last row, a candidate of the kept n = 256
+
+    def edited(name, line, column, text):
+        fields = lines[line - 1].split(",")
+        fields[columns.index(column)] = text
+        path = tmp_path / name
+        path.write_text("\n".join([*lines[:line - 1], ",".join(fields), *lines[line:]]) + "\n")
+        return path, line, column
+
+    cases = [edited(f"nan_{c}.csv", last, c, "nan") for c in
+             ("candidate_risk", "weight", "rho", "aggregate_risk", "erm_risk", "universal_risk")]
+    cases += [edited(f"differs_{c}.csv", last, c, text) for c, text in
+              (("chosen_u", "99"), ("erm_risk", "0.125"), ("aggregate_risk", "inf"),
+               ("universal_risk", "0.5"), ("rho", "3.0"), ("M", "9"))]
+    repeated, line, _ = edited("repeated_u.csv", last, "candidate_risk", "0.0")
+    repeated.write_text(density.read_text() + repeated.read_text().splitlines()[-1] + "\n")
+    cases.append((repeated, last + 1, "u"))
+    for path, line, column in cases:
+        assert run(["check", "oracle", "--input", path]) == 2, path.name
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}:{line}: {column} ") and "Traceback" not in err
 
 
 def test_config_file_merging(tmp_path):

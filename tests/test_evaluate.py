@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from multithresh import evaluate
+from multithresh import evaluate, simulate
 from multithresh.aggregation import LossSpec, theory_constants
 from multithresh.evaluate import (
     DeviationReport,
@@ -147,6 +147,23 @@ def test_monte_carlo_config_validation():
     MonteCarloConfig(model="density", target="triangle", ns=(62,), reps=1, noise="uniform")
     MonteCarloConfig(model="regression", target="twostep", ns=(62,), reps=1, noise="uniform",
                      rho=None, rule="garrote", grid_size=2)
+
+
+def test_noise_audit_runs_once_per_target(monkeypatch):
+    # the audit grid is evaluated once per target object, not once per replication
+    audits = []
+    shape, bound, smoothness = simulate._SHAPES["triangle"]
+
+    def counted(x):
+        audits.extend([x.shape] if x.shape == (simulate.AUDIT_GRID_SIZE,) else [])
+        return shape(x)
+
+    monkeypatch.setitem(simulate._SHAPES, "triangle", (counted, bound, smoothness))
+    config = MonteCarloConfig(model="regression", target="triangle", ns=(64, 128, 256), reps=3,
+                              rho=1.0, grid_size=2 ** 10)
+    assert len(audits) == 1  # the config's own target
+    assert len(monte_carlo(config)) == 9
+    assert len(audits) == 2  # and the one target of the run
 
 
 @pytest.mark.parametrize("model,target,B", [
