@@ -8,8 +8,8 @@ grid: row r of ``grid_rows`` is the candidate of offset ``diag.u_grid[r]``,
 combined either by exponential weights proportional to exp(-l * empirical
 risk) into a mixture or by empirical risk minimization into one of the rows.
 
-Also houses the theoretical constants of the oracle-inequality residual
-(beta1, beta2) so that reports can evaluate the formal bound.
+Also houses ``beta_constants``, the oracle inequality's residual constants
+(beta1, beta2) for a margin constant c and a loss-difference bound K.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from .coefficients import (
     check_model_bound,
     density_coeffs,
     j1_level,
-    loss_difference_bound,
-    margin_constant,
     min_rho,
     regression_coeffs,
 )
@@ -288,27 +286,3 @@ def beta_constants(c: float, K: float) -> tuple[float, float]:
     )
     return beta1, beta2
 
-
-@dataclass(frozen=True)
-class TheoryConstants:
-    """Margin and residual constants for one model instance."""
-
-    kappa: float
-    c: float
-    K: float
-    beta1: float
-    beta2: float
-
-    def __post_init__(self) -> None:
-        if self.beta1 <= 0.0 or self.beta2 <= 0.0:
-            raise ValueError("beta constants must be positive")
-        if self.beta2 > self.beta1 / 2.0 + 1e-15:
-            raise ValueError("beta2 must not exceed beta1 / 2")
-
-
-def theory_constants(model: str, B: float = 1.0) -> TheoryConstants:
-    """Constants for the given model: margin exponent 1 and its c, K pair."""
-    c = margin_constant(model, B)
-    K = loss_difference_bound(model, B)
-    beta1, beta2 = beta_constants(c, K)
-    return TheoryConstants(kappa=1.0, c=c, K=K, beta1=beta1, beta2=beta2)

@@ -29,15 +29,8 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .aggregation import (
-    SCHEMES,
-    LossSpec,
-    beta_constants,
-    multi_threshold_estimate,
-    theory_constants,
-)
-from .coefficients import (MIN_SAMPLE_SIZE, DensitySample, RegressionSample, check_model_bound,
-                           min_rho)
+from .aggregation import SCHEMES, LossSpec, beta_constants, multi_threshold_estimate
+from .coefficients import MIN_SAMPLE_SIZE, DensitySample, RegressionSample, check_model_bound
 from .evaluate import (
     ExperimentResult,
     MonteCarloConfig,
@@ -400,7 +393,8 @@ def rows_to_results(path: str) -> list[ExperimentResult]:
     """Rebuild experiment results from a rates CSV (inverse of results_to_rows).
 
     A NaN, a replication column that differs between the rows of one (model,
-    target, n, rep), or a ``u`` repeated within one is a data error.
+    target, n, rep), a ``u`` repeated within one, a replication whose ``u``
+    are not exactly 0..M-1, or whose ``chosen_u`` is none of them is a data error.
     """
     grouped: dict[tuple, tuple[dict, dict]] = {}
     try:
@@ -433,8 +427,17 @@ def rows_to_results(path: str) -> list[ExperimentResult]:
     if not grouped:
         raise DataError(f"{path}: no data rows")
     results = []
-    for first, by_u in (grouped[key] for key in sorted(grouped)):
-        us = sorted(by_u)
+    for key in sorted(grouped):
+        first, by_u = grouped[key]
+        us = range(first["M"])
+        missing, extra = sorted(set(us) - by_u.keys()), sorted(by_u.keys() - set(us))
+        problem = (f"u = {missing} missing" if missing
+                   else f"u = {extra} outside 0..M-1" if extra
+                   else f"chosen_u = {first['chosen_u']} is none of its u"
+                   if first["chosen_u"] not in by_u else "")
+        if problem:
+            raise DataError(f"{path}: replication (model, target, n, rep) = {key}, "
+                            f"M = {first['M']}: {problem}")
         results.append(ExperimentResult(
             **{f.name: first[f.name] for f in fields(ExperimentResult) if f.name in first},
             candidate_risks=tuple(by_u[u][0] for u in us),
@@ -520,10 +523,9 @@ def _check_moment(args) -> int:
 
 def _check_deviation(args) -> int:
     setup = _setup(args)
-    rho = setup.cfg["rho"] if setup.cfg["rho"] is not None \
-        else min_rho(setup.target.clip_bound, setup.family.psi_sup, "density")
-    report = check_deviation(setup.family, setup.target, rho, setup.cfg["a"], setup.cfg["n"][0],
-                             setup.cfg["reps"], setup.cfg["seed"], *_CHECK_LEVELS[args.command])
+    report = check_deviation(setup.family, setup.target, setup.cfg["rho"], setup.cfg["a"],
+                             setup.cfg["n"][0], setup.cfg["reps"], setup.cfg["seed"],
+                             *_CHECK_LEVELS[args.command])
     for a, f, b, t in zip(report.a_values, report.frequencies,
                           report.bounds, report.tolerances):
         print(f"a = {a}: frequency = {_fmt(f)}, bound = {_fmt(b)} (+3se {_fmt(t)})")
@@ -540,10 +542,7 @@ def _check_oracle(args) -> int:
         results = [r for r in results if r.n == ns[-1]]
     # epsilon is validated, so any ValueError here comes from the rows
     try:
-        model = results[0].model
-        target = get_target(results[0].target, model)
-        constants = theory_constants(model, target.clip_bound)
-        report = oracle_report(results, constants, epsilon)
+        report = oracle_report(results, epsilon)
     except ValueError as exc:
         raise DataError(f"{args.input}: {exc}") from exc
     print(f"model = {report.model}, target = {report.target}, n = {report.n}, "

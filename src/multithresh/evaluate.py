@@ -4,11 +4,13 @@ The Monte Carlo engine replays the full pipeline on synthetic data with
 per-replication derived seeds and records true (quadrature) risks of every
 candidate, the exponential-weights mixture and the empirical-risk minimizer.
 Reports are pure functions of the recorded rows, so a run exported to CSV
-can be re-analyzed without re-simulation.
+can be re-analyzed without re-simulation; the oracle report derives its
+residual constant from the model and target that its rows name.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,10 +19,12 @@ import numpy as np
 from .aggregation import (
     LossSpec,
     aggregate_mixture,
+    beta_constants,
     multi_threshold_candidates,
     split_sample,
     universal_threshold_estimate,
 )
+from .coefficients import loss_difference_bound, margin_constant, min_rho
 from .simulate import (MODELS, TargetFunction, check_noise, derive_rng, get_target,
                        sample_density, sample_regression)
 from .thresholding import ThresholdRule, check_rho
@@ -72,11 +76,9 @@ class MonteCarloConfig:
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
-        target = get_target(self.target, self.model)
-        self.loss(target)
+        target = self.pipeline[0]
         if self.model == "regression":
             check_noise(target, self.noise)
-        ThresholdRule(self.rule)
         if self.rho is not None:
             check_rho(self.rho)
         if self.reps < 1:
@@ -88,8 +90,12 @@ class MonteCarloConfig:
         for n in self.ns:
             split_sample(n)
 
-    def loss(self, target: TargetFunction) -> LossSpec:
-        return LossSpec(self.model, target.clip_bound, self.grid_size)
+    @functools.cached_property
+    def pipeline(self) -> tuple[TargetFunction, WaveletFamily, ThresholdRule, LossSpec]:
+        """The run's (target, family, rule, loss), built once; the loss clips at the target's B."""
+        target = get_target(self.target, self.model)
+        return (target, build_family(self.family, self.cascade_depth), ThresholdRule(self.rule),
+                LossSpec(self.model, target.clip_bound, self.grid_size))
 
 
 @dataclass(frozen=True)
@@ -123,10 +129,7 @@ def monte_carlo(config: MonteCarloConfig) -> list[ExperimentResult]:
     Replication ``rep`` at sample size ``n`` draws its data from the stream
     seeded by (root_seed, n, rep), so rows are reproducible individually.
     """
-    target = get_target(config.target, config.model)
-    family = build_family(config.family, config.cascade_depth)
-    rule = ThresholdRule(config.rule)
-    loss = config.loss(target)
+    target, family, rule, loss = config.pipeline
     tvals = target(midpoint_grid(config.grid_size))
 
     def risk(values: np.ndarray) -> float:
@@ -204,6 +207,18 @@ def check_levels(family: WaveletFamily, levels) -> None:
                              f"0 <= k < 2^j; tau = {family.tau} for {family.name}")
 
 
+def _true_coeffs(family: WaveletFamily, target: TargetFunction, levels, reps: int,
+                 truth_grid: int) -> list:
+    """True coefficient of the density target at each (j, k) in ``levels``, by quadrature."""
+    if not target.is_density:
+        raise ValueError("the coefficient checks run in the density model")
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
+    check_levels(family, levels)
+    truth = analyze(family, target, max(j for j, _ in levels), truth_grid)
+    return [truth.beta[j - family.tau][k] for j, k in levels]
+
+
 @dataclass(frozen=True)
 class MomentReport:
     """Fourth-moment decay of empirical coefficients across sample sizes."""
@@ -232,17 +247,10 @@ def check_moment(
     quadrature analysis (exact for Haar on a resolving grid). Passes when
     the fitted slope sits in [-2.3, -1.7].
     """
-    if not target.is_density:
-        raise ValueError("the moment check runs in the density model")
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
     if len(set(ns)) != len(ns):
         raise ValueError(f"n: sample sizes must be distinct, got {tuple(ns)}")
     levels = [(int(j), int(k)) for j, k in levels]
-    check_levels(family, levels)
-    j_top = max(j for j, _ in levels)
-    truth = analyze(family, target, j_top, truth_grid)
-    true_beta = [truth.beta[j - family.tau][k] for j, k in levels]
+    true_beta = _true_coeffs(family, target, levels, reps, truth_grid)
     moments = []
     for n in ns:
         acc = 0.0
@@ -280,7 +288,7 @@ class DeviationReport:
 def check_deviation(
     family: WaveletFamily,
     target: TargetFunction,
-    rho: float,
+    rho: float | None,
     a_values,
     n: int,
     reps: int,
@@ -290,20 +298,16 @@ def check_deviation(
 ) -> DeviationReport:
     """Empirical frequency of 2 sqrt(n) |beta_hat - beta| >= rho sqrt(a).
 
-    Frequencies are computed from one shared set of replications, so they
-    are exactly nonincreasing in a. Passes when every frequency stays below
-    2^(-4a) plus three binomial standard errors.
+    ``rho`` None means the smallest deviation-valid constant. Frequencies are
+    computed from one shared set of replications, so they are exactly
+    nonincreasing in a. Passes when every frequency stays below 2^(-4a) plus
+    three binomial standard errors.
     """
+    if rho is None:
+        rho = min_rho(target.clip_bound, family.psi_sup, "density")
     check_rho(rho)
-    if not target.is_density:
-        raise ValueError("the deviation check runs in the density model")
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
     a_values = np.asarray(a_values, dtype=float)
-    check_levels(family, [level])
-    j, k = level
-    truth = analyze(family, target, j, truth_grid)
-    beta_true = truth.beta[j - family.tau][k]
+    beta_true, = _true_coeffs(family, target, [level], reps, truth_grid)
     streams = [(root_seed, rep) for rep in range(reps)]
     beta_hat = _empirical_coeffs(family, target, [level], n, streams)[:, 0]
     deviations = 2.0 * math.sqrt(n) * np.abs(beta_hat - beta_true)
@@ -350,14 +354,14 @@ class OracleReport:
     best_rhs: float
 
 
-def oracle_report(results, constants, epsilon: float = 1.0) -> OracleReport:
+def oracle_report(results, epsilon: float = 1.0) -> OracleReport:
     """Compare the mean aggregate risk with the oracle-inequality bound.
 
     LHS is the mean true risk of the exponential-weights mixture; the bound
     is (1 + eps) min_u (mean candidate risk) + 4 log(M) / (eps beta2 l),
-    evaluated with the learning-sample size l. Also reports the sharper
-    empirical comparison LHS <= 1.1 min + 2 standard errors, and the bound
-    minimized over eps on a grid.
+    evaluated with the learning-sample size l and the beta2 of the rows' model
+    and target clip bound. Also reports the sharper empirical comparison
+    LHS <= 1.1 min + 2 standard errors, and the bound minimized over eps on a grid.
     """
     results = list(results)
     if not results:
@@ -370,16 +374,18 @@ def oracle_report(results, constants, epsilon: float = 1.0) -> OracleReport:
         raise ValueError("the oracle inequality requires at least two candidates")
     if not 0.0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
+    B = get_target(target, model).clip_bound
+    beta2 = beta_constants(margin_constant(model, B), loss_difference_bound(model, B))[1]
     cand = np.array([r.candidate_risks for r in results], dtype=float)
     agg = np.array([r.aggregate_risk for r in results], dtype=float)
     min_mean = float(cand.mean(axis=0).min())
     lhs = float(agg.mean())
-    residual = 4.0 * math.log(M) / (epsilon * constants.beta2 * l)
+    residual = 4.0 * math.log(M) / (epsilon * beta2 * l)
     rhs = (1.0 + epsilon) * min_mean + residual
     agg_se = float(agg.std(ddof=1) / math.sqrt(len(agg))) if len(agg) > 1 else 0.0
     sharp = 1.1 * min_mean + 2.0 * agg_se
     eps_grid = np.logspace(-3, 3, 241)
-    rhs_grid = (1.0 + eps_grid) * min_mean + 4.0 * math.log(M) / (eps_grid * constants.beta2 * l)
+    rhs_grid = (1.0 + eps_grid) * min_mean + 4.0 * math.log(M) / (eps_grid * beta2 * l)
     best = int(np.argmin(rhs_grid))
     return OracleReport(
         model=model,

@@ -204,6 +204,8 @@ def eval_periodized(family: WaveletFamily, kind: str, j: int, k: int, x) -> np.n
     if not 0 <= k < (1 << j):
         raise ValueError(f"shift k = {k} out of range for level {j}")
     x_arr = np.asarray(x, dtype=float)
+    if not np.isfinite(x_arr).all():
+        raise ValueError("points must be finite")
     z = np.mod((1 << j) * x_arr - k, 1 << j)  # never negative, so only the top is masked
     if family.is_haar:
         half = 1.0 if kind == "scaling" else 0.5  # where the sign flips
@@ -279,6 +281,14 @@ def _stencil(family: WaveletFamily, kind: str, j: int, y: np.ndarray, pos: np.nd
     for m in range(family.support_width):
         vals = _lerp(family, kind, frac + m)  # first: the other order costs page faults
         yield (base - m) & mask, vals
+
+
+def _stencil_points(x: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The ``_stencil`` input (x mod 1, floor(2^top (x mod 1)), top) of finite points x."""
+    if not np.isfinite(x).all():
+        raise ValueError("points must be finite")
+    y = np.mod(x, 1.0)
+    return y, np.floor(y * (1 << top)).astype(np.int64), top
 
 
 def _grid_table(family: WaveletFamily, kind: str, j: int, size: int) -> np.ndarray:
@@ -365,13 +375,9 @@ def synthesize_at(
     the family's grid tables, with bit for bit the same values.
     """
     x = np.asarray(x, dtype=float)
-    grid_size = _dyadic_grid_size(x)
-    if grid_size is None and not np.isfinite(x).all():
-        raise ValueError("synthesis points must be finite")
-    top, points = expansion.j_max + 1, None
+    grid_size, points = _dyadic_grid_size(x), None
     if grid_size is None or 1 << max(expansion.tau, expansion.j_max) >= grid_size:
-        y = np.mod(x, 1.0)
-        points = y, np.floor(y * (1 << top)).astype(np.int64), top
+        points = _stencil_points(x, expansion.j_max + 1)
     out = _level_synth(family, "scaling", expansion.tau, expansion.alpha, grid_size, points)
     for j, coeffs in zip(expansion.levels(), expansion.beta):
         out += _level_synth(family, "wavelet", j, coeffs, grid_size, points)
@@ -384,12 +390,14 @@ def analyze_points(
 ) -> WaveletExpansion:
     """Coefficients (1/n) sum_i w_i phi/psi_{j,k}(x_i) for levels tau..j_max.
 
-    The adjoint of synthesis at the points x; ``weights`` None means all ones.
-    Each point's position floor(2^(j_max + 1) (x mod 1)) is taken once, and
-    every level scatters through ``_stencil`` from it.
+    The adjoint of synthesis at the finite points x; ``weights`` None means
+    all ones, else they must be finite. Each point's position
+    floor(2^(j_max + 1) (x mod 1)) is taken once, and every level scatters
+    through ``_stencil`` from it.
     """
-    top, y = j_max + 1, np.mod(x, 1.0)
-    pos = np.floor(y * (1 << top)).astype(np.int64)
+    if weights is not None and not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
+    y, pos, top = _stencil_points(x, j_max + 1)
     rows = []
     for kind, j in [("scaling", family.tau), *(("wavelet", j) for j in range(family.tau, top))]:
         sums = np.zeros(1 << j)

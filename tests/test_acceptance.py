@@ -14,7 +14,6 @@ from multithresh.aggregation import (
     aggregate_mixture,
     beta_constants,
     multi_threshold_candidates,
-    theory_constants,
 )
 from multithresh.coefficients import min_rho
 from multithresh.evaluate import (
@@ -189,9 +188,7 @@ def test_criterion_6_oracle_behavior():
             cfg = MonteCarloConfig(model=model, target=tname, ns=(1024,),
                                    reps=200, rho=2.0, root_seed=61)
             results = monte_carlo(cfg)
-            target = get_target(tname, model)
-            constants = theory_constants(model, max(1.0, target.bound))
-            rep = oracle_report(results, constants, epsilon=1.0)
+            rep = oracle_report(results, epsilon=1.0)
             ok = rep.passed_formal and rep.passed_sharp
             all_ok = all_ok and ok
             lines.append(

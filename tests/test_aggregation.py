@@ -22,11 +22,11 @@ from multithresh.aggregation import (
     multi_threshold_candidates,
     multi_threshold_estimate,
     split_sample,
-    theory_constants,
     universal_threshold_estimate,
 )
 from multithresh.coefficients import (DensitySample, RegressionSample, density_coeffs, j1_level,
-                                      min_rho, regression_coeffs)
+                                      loss_difference_bound, margin_constant, min_rho,
+                                      regression_coeffs)
 from multithresh.simulate import get_target, sample_density, sample_regression
 from multithresh.thresholding import RULE_KINDS, ThresholdRule, make_plan, threshold_expansion
 from multithresh.wavelets import (SUPPORTED_FAMILIES, WaveletExpansion, build_family,
@@ -186,11 +186,10 @@ def test_beta_constants_monotone_in_c():
 
 
 def test_theory_constants_models():
-    reg = theory_constants("regression")
-    assert (reg.kappa, reg.c, reg.K) == (1.0, 16.0, 1.0)
-    den = theory_constants("density", 2.0)
-    assert (den.c, den.K) == (64.0, 8.0)
-    assert den.beta2 <= den.beta1 / 2
+    assert (margin_constant("regression"), loss_difference_bound("regression")) == (16.0, 1.0)
+    assert (margin_constant("density", 2.0), loss_difference_bound("density", 2.0)) == (64.0, 8.0)
+    beta1, beta2 = beta_constants(64.0, 8.0)
+    assert beta2 <= beta1 / 2
 
 
 # ---------------------------------------------------------------------------

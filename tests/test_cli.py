@@ -21,7 +21,6 @@ from multithresh.cli import (
 )
 from multithresh.evaluate import (ExperimentResult, MonteCarloConfig, mean_risk_by_n, monte_carlo,
                                   oracle_report, rate_slope)
-from multithresh.aggregation import theory_constants
 
 
 def run(argv):
@@ -516,8 +515,7 @@ def test_check_oracle_from_csv(tmp_path, capsys):
     assert "bound satisfied" in text
     # replay matches a direct computation on the same rows (largest n kept)
     results = [r for r in rows_to_results(str(out)) if r.n == 1024]
-    constants = theory_constants("regression")
-    rep = oracle_report(results, constants, 1.0)
+    rep = oracle_report(results, 1.0)
     assert f"{rep.lhs:.17g}"[:12] in text
 
 
@@ -563,6 +561,32 @@ def test_check_oracle_bad_rows_are_data_errors(tmp_path, capsys):
         assert run(["check", "oracle", "--input", path]) == 2, path.name
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {path}:{line}: {column} ") and "Traceback" not in err
+
+    # every replication at the kept n = 256 without one of its offsets, with one
+    # offset too many, or with a chosen_u that is none of its offsets
+    rows = [line.split(",") for line in lines[1:]]
+    u, n, chosen = (columns.index(c) for c in ("u", "n", "chosen_u"))
+    M = int(rows[-1][columns.index("M")])
+
+    def rewritten(name, new_rows):
+        path = tmp_path / name
+        path.write_text("\n".join([lines[0], *map(",".join, new_rows)]) + "\n")
+        return path
+
+    for path, rep, problem in (
+            (rewritten("no_u1.csv", [r for r in rows if (r[n], r[u]) != ("256", "1")]),
+             0, "u = [1] missing"),
+            (rewritten("no_last_u.csv", [r for r in rows if (r[n], r[u]) != ("256", str(M - 1))]),
+             0, f"u = [{M - 1}] missing"),
+            (rewritten("extra_u.csv", [*rows, [*rows[-1][:u], str(M), *rows[-1][u + 1:]]]),
+             1, f"u = [{M}] outside 0..M-1"),
+            (rewritten("chosen_u.csv", [[*r[:chosen], "99", *r[chosen + 1:]] if r[n] == "256"
+                                        else r for r in rows]),
+             0, "chosen_u = 99 is none of its u")):
+        assert run(["check", "oracle", "--input", path]) == 2, path.name
+        assert capsys.readouterr().err == (
+            f"data error: {path}: replication (model, target, n, rep) = "
+            f"('density', 'triangle', 256, {rep}), M = {M}: {problem}\n")
 
 
 def test_config_file_merging(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from multithresh import evaluate, simulate
-from multithresh.aggregation import LossSpec, theory_constants
+from multithresh.aggregation import LossSpec, beta_constants
 from multithresh.evaluate import (
     DeviationReport,
     ExperimentResult,
@@ -134,6 +134,8 @@ def test_monte_carlo_config_validation():
         (dict(rho=-1.0), "rho must be positive and finite"),
         (dict(rho=math.inf), "rho must be positive and finite"),
         (dict(grid_size=1), "grid_size must be at least 2"),
+        (dict(family="Daubechies12"), "unsupported family 'Daubechies12'"),
+        (dict(cascade_depth=99), "cascade_depth 99 out of range"),
     ]:
         for model in ("density", "regression"):
             with pytest.raises(ValueError, match=match):
@@ -163,7 +165,7 @@ def test_noise_audit_runs_once_per_target(monkeypatch):
                               rho=1.0, grid_size=2 ** 10)
     assert len(audits) == 1  # the config's own target
     assert len(monte_carlo(config)) == 9
-    assert len(audits) == 2  # and the one target of the run
+    assert len(audits) == 1  # which the run uses
 
 
 @pytest.mark.parametrize("model,target,B", [
@@ -172,7 +174,7 @@ def test_noise_audit_runs_once_per_target(monkeypatch):
 ])
 def test_monte_carlo_loss_clips_at_max_of_one_and_bound(model, target, B):
     cfg = MonteCarloConfig(model=model, target=target, ns=(62,), reps=1, grid_size=256)
-    assert cfg.loss(get_target(target, model)) == LossSpec(model, B, 256)
+    assert cfg.pipeline[3] == LossSpec(model, B, 256)
 
 
 def test_mean_risk_by_n():
@@ -268,6 +270,13 @@ def test_check_deviation_zero_exceedances_at_theory_rho(haar):
     assert all(f == 0.0 for f in report.frequencies)
 
 
+def test_check_deviation_rho_none_is_the_theory_constant():
+    family, target = build_family("Daubechies4", 10), get_target("bump", "density")
+    theory = min_rho(target.clip_bound, family.psi_sup, "density")
+    assert check_deviation(family, target, None, (0.5, 1.0), 128, 40, 9, (3, 1), 2 ** 12) \
+        == check_deviation(family, target, theory, (0.5, 1.0), 128, 40, 9, (3, 1), 2 ** 12)
+
+
 def test_check_deviation_monotone_and_a_zero(haar):
     # a small rho produces real exceedances; frequencies must be
     # nonincreasing in a, and a = 0 is the trivial bound 1
@@ -355,14 +364,14 @@ def test_chunked_replications_match_the_per_replication_loop(monkeypatch, family
 # ---------------------------------------------------------------------------
 
 def synthetic_results(agg_risks, cand_matrix, model="regression", n=1024,
-                      M=None, l=148):
+                      M=None, l=148, target="bump"):
     rows = []
     cand_matrix = np.asarray(cand_matrix, dtype=float)
     M = M or cand_matrix.shape[1]
     for rep, (agg, cands) in enumerate(zip(agg_risks, cand_matrix)):
         w = np.full(M, 1.0 / M)
         rows.append(ExperimentResult(
-            model=model, target="bump", n=n, rep=rep, root_seed=0,
+            model=model, target=target, n=n, rep=rep, root_seed=0,
             candidate_risks=tuple(cands), aggregate_risk=float(agg),
             erm_risk=float(min(cands)), weights=tuple(w), chosen_u=0,
             universal_risk=None, m=n - l, l=l, j1=8, rho=1.0,
@@ -373,12 +382,11 @@ def synthetic_results(agg_risks, cand_matrix, model="regression", n=1024,
 def test_oracle_report_formula():
     cand = [[0.05, 0.02, 0.08], [0.07, 0.04, 0.06]]
     rows = synthetic_results([0.05, 0.03], cand)
-    constants = theory_constants("regression")
-    rep = oracle_report(rows, constants, epsilon=1.0)
+    rep = oracle_report(rows, epsilon=1.0)
     min_mean = 0.03  # mean of the second column
     assert rep.min_candidate_mean == pytest.approx(min_mean)
     assert rep.lhs == pytest.approx(0.04)
-    expected_residual = 4 * math.log(3) / (1.0 * constants.beta2 * 148)
+    expected_residual = 4 * math.log(3) / (1.0 * beta_constants(16.0, 1.0)[1] * 148)
     assert rep.residual == pytest.approx(expected_residual, rel=1e-12)
     assert rep.rhs == pytest.approx(2 * min_mean + expected_residual, rel=1e-12)
     assert rep.passed_formal
@@ -390,26 +398,34 @@ def test_oracle_report_formula():
 
 def test_oracle_report_epsilon_scan_is_convex_minimum():
     rows = synthetic_results([0.05], [[0.05, 0.02]])
-    constants = theory_constants("regression")
-    rep = oracle_report(rows, constants)
+    rep = oracle_report(rows)
     for eps in (rep.best_epsilon / 2, rep.best_epsilon * 2):
         other = (1 + eps) * rep.min_candidate_mean + \
-            4 * math.log(rep.M) / (eps * constants.beta2 * rep.l)
+            4 * math.log(rep.M) / (eps * beta_constants(16.0, 1.0)[1] * rep.l)
         assert rep.best_rhs <= other + 1e-12
 
 
+def test_oracle_report_takes_beta2_from_the_rows_model_and_bound():
+    # the density triangle clips at B = 2: c = 16 B^2 = 64 and K = B^2 + 2B = 8
+    rows = synthetic_results([0.05, 0.03], [[0.05, 0.02, 0.08], [0.07, 0.04, 0.06]],
+                             model="density", target="triangle")
+    rep = oracle_report(rows, epsilon=0.5)
+    assert rep.residual == 4 * math.log(3) / (0.5 * beta_constants(64.0, 8.0)[1] * 148)
+
+
 def test_oracle_report_rejects_bad_input():
-    constants = theory_constants("regression")
     with pytest.raises(ValueError):
-        oracle_report([], constants)
+        oracle_report([])
     rows = synthetic_results([0.05], [[0.05]])
     with pytest.raises(ValueError):
-        oracle_report(rows, constants)  # M = 1
+        oracle_report(rows)  # M = 1
     mixed = synthetic_results([0.05], [[0.05, 0.02]]) + \
         synthetic_results([0.05], [[0.05, 0.02]], n=2048)
     with pytest.raises(ValueError):
-        oracle_report(mixed, constants)
+        oracle_report(mixed)
+    with pytest.raises(ValueError, match="unknown target 'sawtooth_regression'"):
+        oracle_report(synthetic_results([0.05], [[0.05, 0.02]], target="sawtooth"))
     good = synthetic_results([0.05], [[0.05, 0.02]])
     for epsilon in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="epsilon"):
-            oracle_report(good, constants, epsilon)
+            oracle_report(good, epsilon)

@@ -202,6 +202,15 @@ def test_eval_periodized_index_errors(haar, db4):
         eval_periodized(haar, "bogus", 1, 0, 0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_eval_periodized_rejects_non_finite_points(haar, db4, bad):
+    for family in (haar, db4):
+        for kind in ("scaling", "wavelet"):
+            for x in (bad, np.array([0.3, bad])):
+                with pytest.raises(ValueError, match="points must be finite"):
+                    eval_periodized(family, kind, family.tau, 0, x)
+
+
 def test_eval_periodized_is_periodic(haar, db4):
     # the lattice-sum definition gives the same value at x and x + 1
     x = np.linspace(0.0, 1.0, 91)
@@ -264,6 +273,15 @@ def test_synthesis_rejects_non_finite_points(haar, db4, bad):
         # finite points outside [0, 1] stay valid: the series is 1-periodic
         np.testing.assert_array_equal(synthesize_at(family, e, [1.25, -0.75]),
                                       synthesize_at(family, e, [0.25, 0.25]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_analysis_rejects_non_finite_points_and_weights(haar, db4, bad):
+    for family in (haar, db4):
+        with pytest.raises(ValueError, match="points must be finite"):
+            analyze_points(family, [0.1, 0.5, bad], None, 4, 3)
+        with pytest.raises(ValueError, match="weights must be finite"):
+            analyze_points(family, np.array([0.1, 0.5, 0.9]), np.array([1.0, bad, 1.0]), 4, 3)
 
 
 def test_haar_round_trip_exact(haar):
