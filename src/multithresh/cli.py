@@ -11,6 +11,12 @@ flag wins over the file, the file over the default. A file key read only
 by other subcommands is ignored (one file can serve several); an unknown
 key is an error.
 
+A config error is raised before any work: ``_config`` checks each value and
+the subcommand's sample sizes, then the subcommand builds the objects it reads
+once, under ``_config_errors``. ``estimate`` and ``rates`` claim all their
+output paths before they read a sample or run a replication, so an
+unwritable path leaves no partial output behind.
+
 Exit codes: 0 ok, 1 config or usage error, 2 data error, 3 failed check.
 All CSV output uses a header row, comma separators, '.' decimals and 17
 significant digits, and is byte-stable for a fixed config and seed (wall
@@ -20,17 +26,18 @@ times are deliberately kept out of the CSV).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .aggregation import SCHEMES, LossSpec, beta_constants, multi_threshold_estimate
-from .coefficients import MIN_SAMPLE_SIZE, DensitySample, RegressionSample, check_model_bound
+from .coefficients import MIN_SAMPLE_SIZE, MODELS, DensitySample, RegressionSample
 from .evaluate import (
     ExperimentResult,
     MonteCarloConfig,
@@ -42,8 +49,7 @@ from .evaluate import (
     oracle_report,
     rate_slope,
 )
-from .simulate import (MODELS, TargetFunction, check_noise, get_target, sample_density,
-                       sample_regression)
+from .simulate import TargetFunction, check_noise, get_target, sample_density, sample_regression
 from .thresholding import RULE_KINDS, ThresholdRule, verify_ongle
 from .wavelets import (DEFAULT_GRID_SIZE, MAX_CASCADE_DEPTH, MIN_CASCADE_DEPTH,
                        SUPPORTED_FAMILIES, WaveletFamily, build_family, midpoint_grid)
@@ -89,6 +95,24 @@ def _write_csv(path: Path, header: list[str] | None, rows: list[list] | np.ndarr
     else:
         lines += [",".join(_fmt(v) for v in row) for row in rows]
     _write_text(path, "\n".join(lines) + "\n")
+
+
+def _claim_outputs(*paths: Path) -> None:
+    """Fail on an output path that cannot be written before any work, leaving no new file."""
+    for path in paths:
+        existed = path.exists()
+        _write_text(path, "", "a")
+        if not existed:
+            path.unlink()
+
+
+@contextlib.contextmanager
+def _config_errors():
+    """Report a ValueError raised while building a subcommand's objects as a config error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -202,6 +226,12 @@ class _Key(NamedTuple):
 _ESTIMATORS = ("estimate", "rates")
 _SAMPLING_CHECKS = ("check moment", "check deviation")  # both run in the density model
 _CHECK_LEVELS = {"check moment": ((2, 0), (3, 1)), "check deviation": ((3, 0),)}  # (j, k) tested
+_ONE_SIZE = (lambda ns: len(ns) == 1, "expected one sample size")
+_SLOPE_SIZES = (lambda ns: 3 <= len(set(ns)) == len(ns),
+                "need at least three sample sizes, all distinct")
+# the rule on the sample sizes of each subcommand that reads n, with its message
+_SIZE_RULES = {"simulate": _ONE_SIZE, "check deviation": _ONE_SIZE,
+               "rates": _SLOPE_SIZES, "check moment": _SLOPE_SIZES}
 _KEYS = {
     "model": _Key(_choice(MODELS), "density", ("simulate", *_ESTIMATORS)),
     "target": _Key(str, "uniform", ("simulate", "rates", *_SAMPLING_CHECKS),
@@ -241,7 +271,10 @@ _KEYS = {
 
 
 def _config(args) -> dict:
-    """The subcommand's keys, each from its flag, else the config file, else its default."""
+    """The subcommand's keys, each from its flag, else the config file, else its default.
+
+    A value that its key's parser or the subcommand's ``_SIZE_RULES`` rejects is a config error.
+    """
     file_values = parse_config_file(args.config) if args.config else {}
     cfg = {}
     for key, spec in _KEYS.items():
@@ -253,87 +286,45 @@ def _config(args) -> dict:
         try:
             cfg[key] = None if text is None else spec.parse(text)
         except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from exc
+            raise ConfigError(f"{key}: {exc}") from exc
+    if args.command in _SIZE_RULES:
+        ok, expected = _SIZE_RULES[args.command]
+        if not ok(cfg["n"]):
+            raise ConfigError(f"n: {expected}, got {cfg['n']}")
     return cfg
 
 
-@dataclass(frozen=True)
-class Setup:
-    """One subcommand's parsed config and the pipeline objects built from it.
-
-    An object is None when the subcommand reads none of the keys it is built from.
-    """
-
-    cfg: dict
-    target: TargetFunction | None
-    family: WaveletFamily | None
-    monte_carlo: MonteCarloConfig | None
-
-
-def _setup(args) -> Setup:
-    """Parse one subcommand's config and map it to pipeline objects.
-
-    The key parsers check each value alone; the objects check what depends
-    on several keys (the target name and the model, the noise range and the
-    regression target, the density bound and the model, the sample sizes
-    and the train/learn split or a slope's three distinct sizes, the checked
-    levels and tau). This is the only place where a ValueError becomes a
-    ConfigError, so every invalid config value exits 1 before any work.
-    """
-    try:
-        cfg = _config(args)
-        if args.command in ("simulate", "check deviation") and len(cfg["n"]) > 1:
-            raise ValueError(f"n: expected one sample size, got {cfg['n']}")
-        if args.command in ("rates", "check moment") and not (
-                3 <= len(set(cfg["n"])) == len(cfg["n"])):
-            raise ValueError(f"n: need at least three sample sizes, all distinct, got {cfg['n']}")
-        model = cfg.get("model", "density")  # the checks run in the density model
-        target = get_target(cfg["target"], model) if "target" in cfg else None
-        if model == "regression" and "noise" in cfg:
-            check_noise(target, cfg["noise"])
-        if args.command == "estimate":
-            if cfg["B"] is None:
-                cfg["B"] = 2.0 if model == "density" else 1.0
-            check_model_bound(model, cfg["B"])
-        family = build_family(cfg["family"], cfg["cascade_depth"]) if "family" in cfg else None
-        if args.command in _CHECK_LEVELS:
-            check_levels(family, _CHECK_LEVELS[args.command])
-        return Setup(
-            cfg=cfg,
-            target=target,
-            family=family,
-            monte_carlo=MonteCarloConfig(
-                model=model, target=cfg["target"], ns=cfg["n"], reps=cfg["reps"],
-                root_seed=cfg["seed"], family=cfg["family"], cascade_depth=cfg["cascade_depth"],
-                rule=cfg["rule"], rho=cfg["rho"], grid_size=cfg["grid_size"], noise=cfg["noise"],
-                include_universal=cfg["universal"], universal_c=cfg["universal_c"],
-            ) if args.command == "rates" else None,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def cmd_simulate(args) -> int:
-    setup = _setup(args)
-    cfg, n = setup.cfg, setup.cfg["n"][0]
-    if cfg["model"] == "density":
-        sample = sample_density(setup.target, n, cfg["seed"])
+    cfg = _config(args)
+    model, n = cfg["model"], cfg["n"][0]
+    with _config_errors():
+        target = get_target(cfg["target"], model)
+        if model == "regression":
+            check_noise(target, cfg["noise"])
+    if model == "density":
+        sample = sample_density(target, n, cfg["seed"])
     else:
-        sample = sample_regression(setup.target, n, cfg["noise"], cfg["seed"])
+        sample = sample_regression(target, n, cfg["noise"], cfg["seed"])
     write_sample_file(Path(args.out), sample)
-    print(f"wrote {n} observations ({cfg['model']}, {setup.target.name}) to {args.out}")
+    print(f"wrote {n} observations ({model}, {target.name}) to {args.out}")
     return 0
 
 
 def cmd_estimate(args) -> int:
-    setup = _setup(args)
-    cfg = setup.cfg
+    cfg = _config(args)
     model, scheme, grid_size = cfg["model"], cfg["scheme"], cfg["grid_size"]
-    loss = LossSpec(model, cfg["B"], grid_size)
+    if cfg["B"] is None:
+        cfg["B"] = 2.0 if model == "density" else 1.0
+    with _config_errors():
+        family = build_family(cfg["family"], cfg["cascade_depth"])
+        loss = LossSpec(model, cfg["B"], grid_size)
+    out = Path(args.out)
+    diag_path = out.with_suffix(out.suffix + ".diag.txt")
+    _claim_outputs(out, diag_path)
     sample = read_sample_file(args.input, model)
     try:
         estimate, grid_rows, diag = multi_threshold_estimate(
-            sample, setup.family, ThresholdRule(cfg["rule"]), loss, rho=cfg["rho"], scheme=scheme
+            sample, family, ThresholdRule(cfg["rule"]), loss, rho=cfg["rho"], scheme=scheme
         )
     except ValueError as exc:
         raise DataError(f"{args.input}: {exc}") from exc
@@ -344,10 +335,7 @@ def cmd_estimate(args) -> int:
     if args.per_candidate and scheme == "AEW":
         header += [f"candidate_u{u}" for u in diag.u_grid]
         columns += grid_rows
-    out = Path(args.out)
     _write_csv(out, header, np.column_stack(columns))
-
-    diag_path = out.with_suffix(out.suffix + ".diag.txt")
     lines = [
         f"model = {model}",
         f"scheme = {scheme}",
@@ -447,23 +435,25 @@ def rows_to_results(path: str) -> list[ExperimentResult]:
 
 
 def cmd_rates(args) -> int:
-    setup = _setup(args)
-    config = setup.monte_carlo
+    cfg = _config(args)
+    with _config_errors():
+        config = MonteCarloConfig(
+            model=cfg["model"], target=cfg["target"], ns=cfg["n"], reps=cfg["reps"],
+            root_seed=cfg["seed"], family=cfg["family"], cascade_depth=cfg["cascade_depth"],
+            rule=cfg["rule"], rho=cfg["rho"], grid_size=cfg["grid_size"], noise=cfg["noise"],
+            include_universal=cfg["universal"], universal_c=cfg["universal_c"],
+        )
     out = Path(args.out)
     summary_path = out.with_suffix(".summary.csv")
-    for path in (out, summary_path):  # fail before the Monte Carlo run, leaving no file
-        existed = path.exists()
-        _write_text(path, "", "a")
-        if not existed:
-            path.unlink()
+    _claim_outputs(out, summary_path)
     results = monte_carlo(config)
-    scheme = setup.cfg["scheme"]
+    scheme = cfg["scheme"]
     _write_csv(out, list(_ROW_COLUMNS), results_to_rows(results, scheme, config.rule))
 
     risk_column = "aggregate_risk" if scheme == "AEW" else "erm_risk"
     ns_sorted, means = mean_risk_by_n(results, risk_column)
     slope, stderr = rate_slope(ns_sorted, means)
-    s = setup.target.smoothness[0]
+    s = config.pipeline[0].smoothness[0]
     expected = -1.0 if math.isinf(s) else -2.0 * s / (2.0 * s + 1.0)
     summary_header = ["model", "target", "scheme", "rule", "rho_mode", "reps",
                       "n_values", "slope", "slope_stderr", "expected_slope"]
@@ -492,7 +482,7 @@ def _verdict(passed: bool, failure: str, success: str = "pass") -> int:
 
 
 def _check_constants(args) -> int:
-    cfg = _setup(args).cfg
+    cfg = _config(args)
     beta1, beta2 = beta_constants(cfg["c"], cfg["K"])
     print(f"beta1 = {_fmt(beta1)}")
     print(f"beta2 = {_fmt(beta2)}")
@@ -500,7 +490,7 @@ def _check_constants(args) -> int:
 
 
 def _check_ongle(args) -> int:
-    cfg = _setup(args).cfg
+    cfg = _config(args)
     report = verify_ongle(ThresholdRule(cfg["rule"], cfg["c1"], cfg["c2"]),
                           (0.1, 0.5, 1.0, 2.0), 0.01, 10.0)
     print(f"rule = {report.rule_kind}, c1 = {_fmt(report.c1)}, c2 = {_fmt(report.c2)}")
@@ -511,10 +501,20 @@ def _check_ongle(args) -> int:
     return _verdict(report.passed, "stability condition violated")
 
 
+def _coefficient_check(args) -> tuple[dict, TargetFunction, WaveletFamily, tuple]:
+    """A coefficient check's config, density target, family and tested (j, k) levels."""
+    cfg = _config(args)
+    levels = _CHECK_LEVELS[args.command]
+    with _config_errors():
+        target = get_target(cfg["target"], "density")
+        family = build_family(cfg["family"], cfg["cascade_depth"])
+        check_levels(family, levels)
+    return cfg, target, family, levels
+
+
 def _check_moment(args) -> int:
-    setup = _setup(args)
-    report = check_moment(setup.family, setup.target, _CHECK_LEVELS["check moment"],
-                          setup.cfg["n"], setup.cfg["reps"], setup.cfg["seed"])
+    cfg, target, family, levels = _coefficient_check(args)
+    report = check_moment(family, target, levels, cfg["n"], cfg["reps"], cfg["seed"])
     for n, m4 in zip(report.ns, report.fourth_moments):
         print(f"n = {n}: E|beta_hat - beta|^4 = {_fmt(m4)}")
     print(f"slope = {report.slope:.4f} +/- {report.stderr:.4f}, band {report.band}")
@@ -522,10 +522,9 @@ def _check_moment(args) -> int:
 
 
 def _check_deviation(args) -> int:
-    setup = _setup(args)
-    report = check_deviation(setup.family, setup.target, setup.cfg["rho"], setup.cfg["a"],
-                             setup.cfg["n"][0], setup.cfg["reps"], setup.cfg["seed"],
-                             *_CHECK_LEVELS[args.command])
+    cfg, target, family, levels = _coefficient_check(args)
+    report = check_deviation(family, target, cfg["rho"], cfg["a"], cfg["n"][0], cfg["reps"],
+                             cfg["seed"], *levels)
     for a, f, b, t in zip(report.a_values, report.frequencies,
                           report.bounds, report.tolerances):
         print(f"a = {a}: frequency = {_fmt(f)}, bound = {_fmt(b)} (+3se {_fmt(t)})")
@@ -533,7 +532,7 @@ def _check_deviation(args) -> int:
 
 
 def _check_oracle(args) -> int:
-    epsilon = _setup(args).cfg["epsilon"]
+    epsilon = _config(args)["epsilon"]
     results = rows_to_results(args.input)
     ns = sorted({r.n for r in results})
     if len(ns) > 1:

@@ -19,6 +19,7 @@ import numpy as np
 from .wavelets import WaveletExpansion, WaveletFamily, analyze_points
 
 MIN_SAMPLE_SIZE = 16
+MODELS = ("density", "regression")
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ def regression_coeffs(
 
 def check_model_bound(model: str, B: float) -> None:
     """The density model needs a finite bound B >= 1; the regression model fixes B = 1."""
-    if model not in ("density", "regression"):
+    if model not in MODELS:
         raise ValueError(f"model must be 'density' or 'regression', got {model!r}")
     if model == "regression" and B != 1.0:
         raise ValueError("the regression model fixes B = 1")

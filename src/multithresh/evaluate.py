@@ -24,9 +24,9 @@ from .aggregation import (
     split_sample,
     universal_threshold_estimate,
 )
-from .coefficients import loss_difference_bound, margin_constant, min_rho
-from .simulate import (MODELS, TargetFunction, check_noise, derive_rng, get_target,
-                       sample_density, sample_regression)
+from .coefficients import MODELS, loss_difference_bound, margin_constant, min_rho
+from .simulate import (TargetFunction, check_noise, derive_rng, get_target, sample_density,
+                       sample_regression)
 from .thresholding import ThresholdRule, check_rho
 from .wavelets import (DEFAULT_GRID_SIZE, WaveletFamily, analyze, build_family,
                        eval_periodized, midpoint_grid)

@@ -23,10 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import MIN_SAMPLE_SIZE, DensitySample, RegressionSample
+from .coefficients import MIN_SAMPLE_SIZE, MODELS, DensitySample, RegressionSample
 from .wavelets import midpoint_grid
 
-MODELS = ("density", "regression")
 AUDIT_GRID_SIZE = 2 ** 16
 UNIFORM_NOISE_DELTA = 0.1  # half-width of the uniform regression noise U[-delta, delta]
 
@@ -74,11 +73,6 @@ _SHAPES = {
     # boundary smoothness, qualitative use only
     "twostep": (lambda x: np.where(x < 0.4, 0.5, 4.0 / 3.0), 4.0 / 3.0, (0.5, 2.0, math.inf)),
 }
-
-
-def target_library() -> list[TargetFunction]:
-    """Every built-in target: each shape as a density, then halved as a regression function."""
-    return [get_target(stem, model) for stem in _SHAPES for model in MODELS]
 
 
 def get_target(name: str, model: str | None = None) -> TargetFunction:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multithresh import cli
+from multithresh import cli, evaluate, simulate
 from multithresh.cli import (
     DataError,
     main,
@@ -21,6 +21,7 @@ from multithresh.cli import (
 )
 from multithresh.evaluate import (ExperimentResult, MonteCarloConfig, mean_risk_by_n, monte_carlo,
                                   oracle_report, rate_slope)
+from multithresh.wavelets import build_family
 
 
 def run(argv):
@@ -229,17 +230,39 @@ def test_unwritable_output_is_config_error(tmp_path, monkeypatch, capsys, argv, 
     (tmp_path / "r.summary.csv").mkdir()
     capsys.readouterr()
 
-    def no_replications(config):
-        raise AssertionError("rates ran its Monte Carlo before checking its output paths")
+    def no_work(*args):
+        raise AssertionError(f"{argv[0]} started its work before checking its output paths")
 
-    # rates probes both of its paths before any replication runs
-    monkeypatch.setattr(cli, "monte_carlo", no_replications)
+    # estimate and rates probe both of their paths before they read a sample or replicate
+    monkeypatch.setattr(cli, "monte_carlo", no_work)
+    monkeypatch.setattr(cli, "read_sample_file", no_work)
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write {path}: ")
     assert "Traceback" not in err
-    if argv[0] == "rates":
-        assert not (tmp_path / "r.csv").exists()
+    # no partial output: only the sample and the two blocking directories remain
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["est.csv.diag.txt", "r.summary.csv",
+                                                          "s.txt"]
+
+
+def test_rates_builds_its_family_and_audits_its_target_once(tmp_path, monkeypatch):
+    builds, audits = [], []
+    shape, bound, smoothness = simulate._SHAPES["triangle"]
+
+    def counted_shape(x):
+        audits.extend([x.shape] if x.shape == (simulate.AUDIT_GRID_SIZE,) else [])
+        return shape(x)
+
+    def counted_build(*args):
+        builds.append(args)
+        return build_family(*args)
+
+    monkeypatch.setitem(simulate._SHAPES, "triangle", (counted_shape, bound, smoothness))
+    for module in (cli, evaluate):
+        monkeypatch.setattr(module, "build_family", counted_build)
+    assert run(["rates", "--model", "regression", "--target", "triangle", "--n", "64,128,256",
+                "--reps", 1, "--grid-size", 256, "--out", tmp_path / "r.csv"]) == 0
+    assert (len(builds), len(audits)) == (1, 1)
 
 
 def test_estimate_regression_takes_only_B_1(tmp_path, monkeypatch, capsys):

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multithresh import simulate
 from multithresh.coefficients import (
+    MODELS,
     DensitySample,
     RegressionSample,
     density_coeffs,
@@ -245,3 +247,7 @@ def test_model_constants():
     assert loss_difference_bound("density", 2.0) == pytest.approx(8.0)
     assert margin_constant("regression") == 16.0
     assert margin_constant("density", 2.0) == 64.0
+    # one tuple of models, which the model check tests against
+    assert simulate.MODELS is MODELS == ("density", "regression")
+    with pytest.raises(ValueError, match="model must be 'density' or 'regression', got 'poisson'"):
+        margin_constant("poisson")

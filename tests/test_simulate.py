@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multithresh import simulate
 from multithresh.simulate import (
     AUDIT_GRID_SIZE,
     MODELS,
@@ -15,13 +16,16 @@ from multithresh.simulate import (
     get_target,
     sample_density,
     sample_regression,
-    target_library,
 )
 from multithresh.wavelets import midpoint_grid
 
+STEMS = ("uniform", "bump", "triangle", "twostep")
+# every built-in target: each shape as a density, then halved as a regression function
+TARGETS = [get_target(stem, model) for stem in STEMS for model in MODELS]
+
 
 def test_library_members_pass_audit():
-    targets = target_library()
+    targets = TARGETS
     assert len(targets) >= 8
     names = {t.name for t in targets}
     for stem in ("uniform", "bump", "triangle", "twostep"):
@@ -52,12 +56,9 @@ def test_get_target_unknown():
         get_target("triangle", "poisson")
 
 
-STEMS = ("uniform", "bump", "triangle", "twostep")
-
-
 def test_library_names_and_order():
-    assert [t.name for t in target_library()] == [
-        f"{stem}_{model}" for stem in STEMS for model in MODELS]
+    assert tuple(simulate._SHAPES) == STEMS
+    assert [t.name for t in TARGETS] == [f"{stem}_{model}" for stem in STEMS for model in MODELS]
 
 
 @pytest.mark.parametrize("stem", STEMS)
@@ -186,7 +187,7 @@ def test_derived_streams_are_independent():
 
 
 def test_all_outputs_in_unit_interval():
-    for t in target_library():
+    for t in TARGETS:
         if t.is_density:
             s = sample_density(t, 128, 3)
             assert np.all((s.x >= 0.0) & (s.x <= 1.0))
