@@ -582,13 +582,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="multithresh",
         description="Adaptive wavelet estimation by aggregation of thresholded estimators",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    checks = sub.add_parser("check", help="verification reports").add_subparsers(
-        dest="check", required=True)
+    checks = sub.add_parser("check", help="verification reports",
+                            allow_abbrev=False).add_subparsers(dest="check", required=True)
     for name, (func, help_text, files) in _COMMANDS.items():
         p = (checks if name.startswith("check ") else sub).add_parser(
-            name.removeprefix("check "), help=help_text)
+            name.removeprefix("check "), help=help_text, allow_abbrev=False)
         p.set_defaults(func=func, command=name)
         p.add_argument("--config", help="flat key = value config file")
         for key, spec in _KEYS.items():

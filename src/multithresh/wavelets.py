@@ -6,7 +6,8 @@ interpolation. One point stencil (``_stencil``) serves synthesis at points,
 its adjoint, analysis of a weighted point set (the empirical coefficients and
 the quadrature analysis of known functions), and the per-level grid tables
 cached on the family, from which synthesis on a midpoint grid of power-of-two
-size gathers the levels coarser than the grid.
+size gathers the levels coarser than the grid. A Haar series, constant on the
+cells of its finest level, is synthesized once per cell and repeated onto the grid.
 
 Conventions:
   - the low-pass filter ``h`` sums to sqrt(2) and has unit l2 norm, so the
@@ -299,6 +300,8 @@ def _grid_table(family: WaveletFamily, kind: str, j: int, size: int) -> np.ndarr
     stencil at the first period, where pos = p. Cached on the family: per
     grid size the tables of the scaling level and of all wavelet levels with
     2^j < size hold fewer than 3 * support_width * size / 2^tau <= 3 * size floats.
+    Haar synthesis on a grid of N points also tables its cell grids, of sizes
+    2^top < N, which at most doubles that: fewer than 6 * N floats in all.
     """
     key = (kind, j, size)
     table = family.grid_tables.get(key)
@@ -368,20 +371,27 @@ def synthesize_at(
 ) -> np.ndarray:
     """Evaluate the wavelet series at arbitrary (unsorted) finite points.
 
-    Returns ``rows + x.shape``: a stack of series gives one row per series,
-    and each level's stencil at x is computed once for all rows, with the
-    same arithmetic per row as the synthesis of that row alone. On a midpoint
-    grid of power-of-two size the levels coarser than the grid gather from
-    the family's grid tables, with bit for bit the same values.
+    Returns a new ``rows + x.shape`` array: a stack of series gives one row
+    per series, and each level's stencil at x is computed once for all rows,
+    with the same arithmetic per row as the synthesis of that row alone. On a
+    midpoint grid of power-of-two size N the levels coarser than the grid
+    gather from the family's grid tables, with bit for bit the same values. A
+    Haar series lies in V_top, top = max(tau, j_max) + 1, so it is constant on
+    the 2^top cells of width 2^-top; when 2^top < N it is synthesized once per
+    cell midpoint (the same products and sums in the same order) and each cell
+    is repeated N / 2^top times.
     """
     x = np.asarray(x, dtype=float)
-    grid_size, points = _dyadic_grid_size(x), None
-    if grid_size is None or 1 << max(expansion.tau, expansion.j_max) >= grid_size:
+    grid_size, points, repeats = _dyadic_grid_size(x), None, 1
+    top = max(expansion.tau, expansion.j_max) + 1
+    if grid_size is None or 1 << top > grid_size:
         points = _stencil_points(x, expansion.j_max + 1)
+    elif family.is_haar:
+        grid_size, repeats = 1 << top, grid_size >> top
     out = _level_synth(family, "scaling", expansion.tau, expansion.alpha, grid_size, points)
     for j, coeffs in zip(expansion.levels(), expansion.beta):
         out += _level_synth(family, "wavelet", j, coeffs, grid_size, points)
-    return out
+    return out if repeats == 1 else np.repeat(out, repeats, axis=-1)
 
 
 def analyze_points(

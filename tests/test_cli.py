@@ -170,6 +170,10 @@ def _no_work(*args):
      "--out", "r.csv"],
     ["check", "moment", "--target", "bump_regression"],
     ["check", "deviation", "--target", "bump_regression"],
+    # a flag is a config key spelled in full, as on a config line: these ran as
+    # --grid-size 1024 and --input f
+    ["rates", "--gri", 1024, "--out", "r.csv"],
+    ["estimate", "--in", "f", "--out", "est.csv"],
 ], ids=["estimate-family", "estimate-config-rule", "check-moment-family", "simulate-n-8",
         "simulate-n-list", "rates-n-below-split", "rates-config-rule", "check-constants-c-0",
         "check-constants-c-nan", "check-constants-K", "check-oracle-epsilon-0",
@@ -183,7 +187,8 @@ def _no_work(*args):
         "rates-n-two-distinct", "check-moment-n-two", "check-moment-n-repeated",
         "rates-n-one-repeat", "check-moment-n-one-repeat", "simulate-regression-density-target",
         "simulate-density-regression-target", "rates-density-regression-target",
-        "check-moment-regression-target", "check-deviation-regression-target"])
+        "check-moment-regression-target", "check-deviation-regression-target",
+        "rates-flag-abbreviation", "estimate-flag-abbreviation"])
 def test_config_errors_exit_1(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "wiggle.cfg").write_text("rule = wiggle\n")

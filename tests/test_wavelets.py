@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multithresh.coefficients import j1_level
 from multithresh.wavelets import (
     SUPPORTED_FAMILIES,
     WaveletExpansion,
@@ -520,6 +521,32 @@ def test_grid_tables_match_pointwise_stencil(name, size):
         assert not tabled
     else:
         assert tabled == {j for j in range(family.tau, j_max + 1) if 2 ** j < size}
+
+
+@pytest.mark.parametrize("size", [2, 16, 2 ** 10, 2 ** 14])
+def test_haar_grid_synthesis_repeats_its_cells_bit_for_bit(size):
+    # a Haar series is constant on the C = 2^(max(tau, j_max) + 1) cells: with C < N it is
+    # synthesized on the cell grid and repeated; grids no finer than the cells keep the table
+    # path of N, with the stencil for the levels 2^j >= N
+    rng = np.random.default_rng(size)
+    grid = midpoint_grid(size)
+    for j_max in range(FAMILIES["Haar"].tau - 1, 14):
+        haar = build_family("Haar")
+        cells = 1 << (max(haar.tau, j_max) + 1)
+        es = [random_expansion(rng, haar.tau, j_max) for _ in range(3)]
+        es[1].alpha[:] = -0.0
+        for row in es[1].beta:
+            row[:] = -0.0
+        want = ref_synth(haar, es, grid)
+        assert same_bits(synthesize_at(haar, stack_of(es), grid), want), (j_max, size)
+        first = synthesize_at(haar, es[0], grid)
+        assert same_bits(first, want[0]), (j_max, size)
+        assert {n for _, _, n in haar.grid_tables} == ({cells} if cells < size else {size})
+        # a fresh, writable array: the candidates are clipped in place
+        first[:] = np.nan
+        assert same_bits(synthesize_at(haar, es[0], grid), want[0])
+    # the candidates of a Haar replication at n = 1024 on a grid of 2^10 take the cell path
+    assert 2 ** (j1_level(1024) + 1) < 2 ** 10
 
 
 @pytest.mark.parametrize("depth", [6, 12])
