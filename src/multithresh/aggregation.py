@@ -204,8 +204,7 @@ def multi_threshold_candidates(
     learn_values = _clipped_values(family, stack, learn.x, loss)
     # the grid goes one row at a time: a row's values stay in cache, the whole stack's do not
     grid = midpoint_grid(loss.grid_size)
-    rows = (WaveletExpansion(stack.tau, stack.j_max, stack.alpha[r], [b[r] for b in stack.beta])
-            for r in range(len(u_grid)))
+    rows = (WaveletExpansion(stack.tau, row) for row in stack.coeffs)
     grid_rows = [_clipped_values(family, row, grid, loss) for row in rows]
     risks = empirical_risks(loss, grid_rows, learn_values, learn)
 
@@ -251,15 +250,14 @@ def universal_threshold_estimate(
 ) -> np.ndarray:
     """Single-candidate baseline: flat threshold c sqrt(log n / n), full sample.
 
-    Returns its clipped grid values: a stack of one flat row, which
-    thresholds every level.
+    Returns its clipped grid values. The flat plan thresholds every level.
     """
     n = data.n
     j1 = j1_level(n)
     raw = _model_coeffs(data, family, j1, loss)
-    flat = np.full((1, j1 - family.tau + 1), c * math.sqrt(math.log(n) / n))
-    stack = threshold_expansion(raw, flat, rule)
-    return _clipped_values(family, stack, midpoint_grid(loss.grid_size), loss)[0]
+    flat = np.full(j1 - family.tau + 1, c * math.sqrt(math.log(n) / n))
+    return _clipped_values(family, threshold_expansion(raw, flat, rule),
+                           midpoint_grid(loss.grid_size), loss)
 
 
 # ---------------------------------------------------------------------------

@@ -216,7 +216,7 @@ def _true_coeffs(family: WaveletFamily, target: TargetFunction, levels, reps: in
         raise ValueError("reps must be at least 1")
     check_levels(family, levels)
     truth = analyze(family, target, max(j for j, _ in levels), truth_grid)
-    return [truth.beta[j - family.tau][k] for j, k in levels]
+    return [truth.coeffs[(1 << j) + k] for j, k in levels]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ stability condition; the one default pair is certified for every rule by
 The candidates of the multi-thresholding estimator differ only in the level
 offset u of their thresholds. :func:`make_plan` gives one row of thresholds
 per offset, and :func:`threshold_expansion` turns the rows into one stack of
-thresholded expansions, with one pass of the rule per level for all rows.
+thresholded expansions, with one pass of the rule over the whole block.
 """
 
 from __future__ import annotations
@@ -109,29 +109,27 @@ def make_plan(rho: float, u, tau: int, j1: int, n: int) -> np.ndarray:
 
 
 def threshold_expansion(raw: WaveletExpansion, t, rule: ThresholdRule) -> WaveletExpansion:
-    """Shrink the wavelet rows of an expansion level by level, once per row of thresholds.
+    """Shrink the wavelet coefficients of one series, once per row of thresholds.
 
     ``t[..., j - tau]`` is the threshold of level j, as :func:`make_plan`
     returns it; a matrix of thresholds gives an expansion with one candidate
     row per threshold row. Scaling coefficients are the linear step and stay
-    untouched. Each level runs the rule once, on the rows with t_j > 0; a
-    row with t_j = 0 keeps the raw row (the garrote would divide 0/0 there).
+    untouched. The rule runs once over the wavelet part of the block, on the
+    entries with t_j > 0; the others keep their raw value (the garrote would divide 0/0).
     """
     t = np.asarray(t, dtype=float)
-    if t.shape[-1] != len(raw.beta):
+    levels = raw.levels()
+    if t.shape[-1] != len(levels):
         raise ValueError(f"shape mismatch: expansion levels {raw.tau}..{raw.j_max} "
                          f"vs {t.shape[-1]} thresholds per row")
     if not np.all((t >= 0.0) & (t < math.inf)):
         raise ValueError(f"each threshold must be finite and nonnegative, got {t}")
-    rows = t.shape[:-1]
-    beta = []
-    for tj, row in zip(t.T, raw.beta):
-        out = np.broadcast_to(row, rows + row.shape).copy()
-        on = tj > 0.0
-        out[on] = apply_rule(rule, tj[on, None], row)
-        beta.append(out)
-    return WaveletExpansion(raw.tau, raw.j_max,
-                            np.broadcast_to(raw.alpha, rows + raw.alpha.shape).copy(), beta)
+    coeffs = np.broadcast_to(raw.coeffs, t.shape[:-1] + raw.coeffs.shape).copy()
+    wavelet = coeffs[..., 1 << raw.tau:]
+    level_t = np.repeat(t, [1 << j for j in levels], axis=-1)  # each coefficient's threshold
+    on = level_t > 0.0
+    wavelet[on] = apply_rule(rule, level_t[on], wavelet[on])
+    return WaveletExpansion(raw.tau, coeffs)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,11 @@ Compactly supported father/mother pairs: Haar in closed form, with no tables,
 and the Daubechies family through dyadic cascade tables with linear
 interpolation. One point stencil (``_stencil``) serves synthesis at points,
 its adjoint, analysis of a weighted point set (the empirical coefficients and
-the quadrature analysis of known functions), and the per-level grid tables
-cached on the family, from which synthesis on a midpoint grid of power-of-two
-size gathers the levels coarser than the grid. A Haar series, constant on the
-cells of its finest level, is synthesized once per cell and repeated onto the grid.
+the quadrature analysis of known functions) into one pyramid-ordered block
+``[alpha | beta_tau | ... | beta_jmax]``, and the per-level grid tables cached on
+the family, from which synthesis on a midpoint grid of power-of-two size gathers
+the levels coarser than the grid. A Haar series, constant on the cells of its
+finest level, is synthesized once per cell and repeated onto the grid.
 
 Conventions:
   - the low-pass filter ``h`` sums to sqrt(2) and has unit l2 norm, so the
@@ -227,38 +228,38 @@ def eval_periodized(family: WaveletFamily, kind: str, j: int, k: int, x) -> np.n
 
 @dataclass
 class WaveletExpansion:
-    """Coefficient arrays of a periodized wavelet series, or of a stack of them.
+    """Coefficients of a periodized wavelet series, or of a stack of them, in pyramid order.
 
-    ``alpha`` holds the 2^tau scaling coefficients; ``beta[j - tau]`` holds
-    the 2^j wavelet coefficients of level j, for tau <= j <= j_max. An empty
-    ``beta`` (j_max = tau - 1) is a pure scaling expansion. A stack of series
-    puts one leading row axis, of the same length, before the coefficients
-    of ``alpha`` and of every ``beta`` row.
+    ``coeffs`` holds 2^(j_max + 1) coefficients in the flat layout of a discrete
+    wavelet transform, ``[alpha | beta_tau | ... | beta_jmax]``: the 2^tau scaling
+    coefficients, then level j in ``coeffs[..., 2^j:2^(j+1)]``. A block of 2^tau
+    (j_max = tau - 1) is a pure scaling expansion; a stack puts one row axis first.
+    ``alpha`` and the rows of ``beta`` are views into the block.
     """
 
     tau: int
-    j_max: int
-    alpha: np.ndarray
-    beta: list[np.ndarray]
+    coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        self.alpha = np.asarray(self.alpha, dtype=float)
-        self.beta = [np.asarray(row, dtype=float) for row in self.beta]
-        rows = self.alpha.shape[:-1]
-        if self.j_max < self.tau - 1:
-            raise ValueError(f"j_max = {self.j_max} below tau - 1 = {self.tau - 1}")
-        if len(rows) > 1 or self.alpha.shape != rows + (1 << self.tau,):
-            raise ValueError(f"alpha must have 2^tau = {1 << self.tau} entries, "
-                             f"behind at most one row axis")
-        if len(self.beta) != self.j_max - self.tau + 1:
-            raise ValueError("beta must hold one row per level tau..j_max")
-        for j, row in zip(self.levels(), self.beta):
-            if row.shape != rows + (1 << j,):
-                raise ValueError(f"level {j} must have 2^{j} entries in each row of alpha")
-        if not np.isfinite(self.alpha).all() or any(
-            not np.isfinite(row).all() for row in self.beta
-        ):
+        self.coeffs = np.asarray(self.coeffs, dtype=float)
+        size = self.coeffs.shape[-1] if self.coeffs.ndim else 0
+        if self.coeffs.ndim > 2 or size & (size - 1) or size < 1 << self.tau:
+            raise ValueError(f"the coefficient block needs a power of two of at least 2^tau = "
+                             f"{1 << self.tau} entries, behind at most one row axis")
+        if not np.isfinite(self.coeffs).all():
             raise ValueError("expansion coefficients must be finite")
+
+    @property
+    def j_max(self) -> int:
+        return self.coeffs.shape[-1].bit_length() - 2
+
+    @property
+    def alpha(self) -> np.ndarray:
+        return self.coeffs[..., :1 << self.tau]
+
+    @property
+    def beta(self) -> list[np.ndarray]:
+        return [self.coeffs[..., 1 << j:2 << j] for j in self.levels()]
 
     def levels(self) -> range:
         return range(self.tau, self.j_max + 1)
@@ -403,21 +404,24 @@ def analyze_points(
     The adjoint of synthesis at the finite points x; ``weights`` None means
     all ones, else they must be finite. Each point's position
     floor(2^(j_max + 1) (x mod 1)) is taken once, and every level scatters
-    through ``_stencil`` from it.
+    through ``_stencil`` from it into its slice of one pyramid-ordered block.
     """
+    if j_max < family.tau - 1:
+        raise ValueError(f"j_max = {j_max} below tau - 1 = {family.tau - 1} for {family.name}")
     if weights is not None and not np.isfinite(weights).all():
         raise ValueError("weights must be finite")
     y, pos, top = _stencil_points(x, j_max + 1)
-    rows = []
+    coeffs = np.zeros(1 << top)
     for kind, j in [("scaling", family.tau), *(("wavelet", j) for j in range(family.tau, top))]:
-        sums = np.zeros(1 << j)
+        sums = coeffs[:1 << j] if kind == "scaling" else coeffs[1 << j:2 << j]
         # vals is new and scaled in place; freeing idx or vals early costs page faults
         for idx, vals in _stencil(family, kind, j, y, pos, top):
             if weights is not None:
                 vals *= weights
             sums += np.bincount(idx, weights=vals, minlength=1 << j)
-        rows.append(2.0 ** (j / 2.0) * sums / n)
-    return WaveletExpansion(family.tau, j_max, rows[0], rows[1:])
+        sums *= 2.0 ** (j / 2.0)
+        sums /= n
+    return WaveletExpansion(family.tau, coeffs)
 
 
 def analyze(

@@ -49,10 +49,7 @@ def test_criterion_1_wavelet_round_trip():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for j_max in range(0, 11):
-        e = WaveletExpansion(
-            0, j_max, rng.standard_normal(1),
-            [rng.standard_normal(1 << j) for j in range(j_max + 1)],
-        )
+        e = WaveletExpansion(0, rng.standard_normal(2 << j_max))
         values = synthesize_at(haar, e, midpoint_grid(2 ** 12))
         back = analyze(haar, values, j_max, 2 ** 12)
         worst = max(worst, float(np.abs(back.alpha - e.alpha).max()))

@@ -322,7 +322,7 @@ def test_learning_points_share_one_stencil(name, model):
     grid = midpoint_grid(loss.grid_size)
     clipped = []
     for r, (grid_row, values) in enumerate(zip(grid_rows, shared)):
-        row = WaveletExpansion(stack.tau, stack.j_max, stack.alpha[r], [b[r] for b in stack.beta])
+        row = WaveletExpansion(stack.tau, stack.coeffs[r])
         own = synthesize_at(family, row, learn.x)
         assert np.array_equal(values.view(np.int64), own.view(np.int64))
         assert np.array_equal(grid_row, np.clip(synthesize_at(family, row, grid), 0.0, loss.B))

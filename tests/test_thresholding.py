@@ -129,9 +129,7 @@ def test_plan_invariants_enforced(rho, tau, levels, n):
 
 
 def expansion(beta_rows):
-    j_max = len(beta_rows) - 1
-    return WaveletExpansion(0, j_max, np.array([1.0]),
-                            [np.asarray(r, dtype=float) for r in beta_rows])
+    return WaveletExpansion(0, np.concatenate([[1.0], *beta_rows]))
 
 
 def test_flat_plan():
@@ -175,8 +173,7 @@ def test_threshold_expansion_shape_mismatch():
        u=st.integers(min_value=0, max_value=6))
 def test_threshold_expansion_never_grows(seed, kind, u):
     rng = np.random.default_rng(seed)
-    e = WaveletExpansion(0, 4, rng.standard_normal(1),
-                         [rng.standard_normal(1 << j) for j in range(5)])
+    e = WaveletExpansion(0, rng.standard_normal(32))
     plan = make_plan(2.0, u, 0, 4, 64)
     out = threshold_expansion(e, plan, ThresholdRule(kind))
     np.testing.assert_array_equal(out.alpha, e.alpha)
@@ -216,7 +213,7 @@ def test_stack_rows_match_per_row_thresholding(kind):
     rng = np.random.default_rng(5)
     beta = [rng.standard_normal(1 << j) for j in range(6)]
     beta[3][[0, 5]] = [0.0, -0.0]
-    e = WaveletExpansion(0, 5, rng.standard_normal(1), beta)
+    e = WaveletExpansion(0, np.concatenate([rng.standard_normal(1), *beta]))
     offsets = list(range(-1, 8))
     stack = threshold_expansion(e, make_plan(1.5, offsets, 0, 5, 64), ThresholdRule(kind))
     assert stack.alpha.shape == (len(offsets), 1)
@@ -241,6 +238,43 @@ def test_garrote_keeps_rows_with_zero_threshold_raw():
     assert same_bits(out.beta[2][0], e.beta[2])
     assert same_bits(out.beta[1][2], [0.0, -0.6 - 0.25 / -0.6])
     assert same_bits(out.beta[2][1:], np.tile([0.0, 0.0, 0.0, -2.0 - 0.25 / -2.0], (2, 1)))
+
+
+def per_level_threshold(raw, t, rule):
+    """Reference: the rule run level by level on the rows with t_j > 0, as separate arrays."""
+    t = np.asarray(t, dtype=float)
+    rows = t.shape[:-1]
+    beta = []
+    for tj, row in zip(t.T, raw.beta):
+        out = np.broadcast_to(row, rows + row.shape).copy()
+        on = tj > 0.0
+        out[on] = apply_rule(rule, tj[on, None], row)
+        beta.append(out)
+    return np.concatenate([np.broadcast_to(raw.alpha, rows + raw.alpha.shape), *beta], axis=-1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["hard", "soft", "garrote"]), tau=st.sampled_from([0, 2]),
+       extra=st.integers(min_value=-1, max_value=6), rows=st.sampled_from([(), (1,), (5,)]),
+       seed=st.integers(min_value=0, max_value=2 ** 16))
+def test_one_pass_thresholding_matches_the_per_level_loop(kind, tau, extra, rows, seed):
+    # bit for bit, with zero thresholds scattered, an all-zero row and column, and signed zeros
+    rng = np.random.default_rng(seed)
+    j_max = tau + extra
+    coeffs = rng.standard_normal(1 << (j_max + 1))
+    coeffs[rng.random(coeffs.size) < 0.2] = 0.0
+    coeffs[rng.random(coeffs.size) < 0.2] = -0.0
+    raw = WaveletExpansion(tau, coeffs)
+    t = np.abs(rng.standard_normal(rows + (extra + 1,)))
+    t[rng.random(t.shape) < 0.3] = 0.0
+    if rows and extra >= 0:
+        t[rng.integers(rows[0])] = 0.0
+        t[..., rng.integers(extra + 1)] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = threshold_expansion(raw, t, ThresholdRule(kind))
+        want = per_level_threshold(raw, t, ThresholdRule(kind))
+    assert same_bits(got.coeffs, want)
 
 
 # ---------------------------------------------------------------------------

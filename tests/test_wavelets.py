@@ -34,11 +34,7 @@ def db4():
 
 
 def random_expansion(rng, tau, j_max, scale=1.0):
-    return WaveletExpansion(
-        tau, j_max,
-        scale * rng.standard_normal(1 << tau),
-        [scale * rng.standard_normal(1 << j) for j in range(tau, j_max + 1)],
-    )
+    return WaveletExpansion(tau, scale * rng.standard_normal(1 << (j_max + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +79,7 @@ def ref_level_synth(family, kind, j, coeffs, x):
 def stack_of(expansions):
     """One expansion whose rows are the given expansions, which share their levels."""
     first = expansions[0]
-    return WaveletExpansion(first.tau, first.j_max, np.array([e.alpha for e in expansions]),
-                            [np.array(rows) for rows in zip(*(e.beta for e in expansions))])
+    return WaveletExpansion(first.tau, np.array([e.coeffs for e in expansions]))
 
 
 def ref_synth(family, expansions, x):
@@ -251,13 +246,13 @@ def test_db4_numerical_orthonormality(db4):
 # ---------------------------------------------------------------------------
 
 def test_synthesize_constant(haar):
-    e = WaveletExpansion(0, -1, np.array([1.0]), [])
+    e = WaveletExpansion(0, np.array([1.0]))
     grid = np.linspace(0, 1, 33)
     np.testing.assert_allclose(synthesize_at(haar, e, grid), 1.0)
 
 
 def test_synthesize_haar_mother(haar):
-    e = WaveletExpansion(0, 0, np.array([0.0]), [np.array([1.0])])
+    e = WaveletExpansion(0, np.array([0.0, 1.0]))
     vals = synthesize_at(haar, e, np.array([0.75, 0.25]))
     np.testing.assert_allclose(vals, [-1.0, 1.0])
 
@@ -319,30 +314,49 @@ def test_analyze_accepts_callable(haar):
 # ---------------------------------------------------------------------------
 
 def test_expansion_validation():
-    with pytest.raises(ValueError):
-        WaveletExpansion(0, 1, np.array([1.0]), [np.array([1.0])])  # missing row
-    with pytest.raises(ValueError):
-        WaveletExpansion(0, 0, np.array([1.0, 2.0]), [np.array([1.0])])  # alpha size
-    with pytest.raises(ValueError):
-        WaveletExpansion(0, 1, np.array([1.0]), [np.array([1.0]), np.array([1.0])])
-    with pytest.raises(ValueError):
-        WaveletExpansion(0, 0, np.array([np.nan]), [np.array([1.0])])
-    # a stack: one leading row axis, the same for alpha and every beta row
-    WaveletExpansion(0, 1, np.ones((3, 1)), [np.ones((3, 1)), np.ones((3, 2))])
-    WaveletExpansion(0, -1, np.ones((3, 1)), [])
-    for alpha, beta in [
-        (np.ones((3, 1)), [np.ones((2, 1)), np.ones((3, 2))]),  # row counts differ
-        (np.ones((3, 1)), [np.ones((3, 1)), np.ones(2)]),  # one level not stacked
-        (np.ones(1), [np.ones((3, 1)), np.ones((3, 2))]),  # alpha not stacked
-        (np.ones((2, 3, 1)), [np.ones((2, 3, 1)), np.ones((2, 3, 2))]),  # two row axes
-        (np.float64(1.0), [np.ones(1), np.ones(2)]),  # no coefficient axis
-    ]:
+    # one pyramid-ordered block: a power of two of at least 2^tau entries
+    for coeffs in (np.ones(3), np.ones(6), np.ones((2, 3))):
+        with pytest.raises(ValueError, match="power of two"):
+            WaveletExpansion(0, coeffs)
+    with pytest.raises(ValueError, match="at least 2\\^tau = 4"):
+        WaveletExpansion(2, np.ones(2))
+    for coeffs in (np.ones((2, 3, 4)), np.float64(1.0), np.ones(0)):  # two row axes, 0-d, empty
         with pytest.raises(ValueError):
-            WaveletExpansion(0, 1, alpha, beta)
-    bad = np.ones((3, 2))
-    bad[2, 0] = np.inf
-    with pytest.raises(ValueError, match="finite"):
-        WaveletExpansion(0, 1, np.ones((3, 1)), [np.ones((3, 1)), bad])
+            WaveletExpansion(0, coeffs)
+    for bad in (np.nan, np.inf, -np.inf):
+        stack = np.ones((3, 4))
+        stack[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            WaveletExpansion(0, stack)
+    assert WaveletExpansion(2, np.ones(4)).j_max == 1  # pure scaling: j_max = tau - 1
+    e = WaveletExpansion(2, np.arange(24.0).reshape(3, 8))
+    assert (e.j_max, e.alpha.shape, [b.shape for b in e.beta]) == (2, (3, 4), [(3, 4)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), tau=st.integers(min_value=0, max_value=4),
+       rows=st.sampled_from([(), (3,)]), seed=st.integers(min_value=0, max_value=2 ** 16))
+def test_expansion_views_tile_the_pyramid_block(data, tau, rows, seed):
+    j_max = data.draw(st.integers(min_value=tau - 1, max_value=10))
+    coeffs = np.random.default_rng(seed).standard_normal(rows + (1 << (j_max + 1),))
+    e = WaveletExpansion(tau, coeffs)
+    assert e.j_max == j_max and list(e.levels()) == list(range(tau, j_max + 1))
+    assert same_bits(np.concatenate([e.alpha, *e.beta], -1), e.coeffs)
+    assert all(np.shares_memory(view, e.coeffs) for view in [e.alpha, *e.beta])
+    assert [b.shape[-1] for b in e.beta] == [1 << j for j in e.levels()]
+
+
+@pytest.mark.parametrize("name, j_max", [("Daubechies4", 0), ("Daubechies4", -5), ("Haar", -2)])
+def test_analysis_rejects_j_max_below_tau_minus_one(name, j_max):
+    family = FAMILIES[name]
+    match = f"j_max = {j_max} below tau - 1 = {family.tau - 1}"
+    with pytest.raises(ValueError, match=match):
+        analyze_points(family, np.array([0.1, 0.5, 0.9]), None, j_max, 3)
+    with pytest.raises(ValueError, match=match):
+        analyze(family, lambda x: np.ones_like(x), j_max, 2 ** 10)
+    # the coarsest level allowed is the pure scaling block
+    scaling_only = analyze_points(family, np.array([0.1, 0.5]), None, family.tau - 1, 2)
+    assert scaling_only.j_max == family.tau - 1
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +370,7 @@ def coefficient_norm(e):
 
 def test_parseval_pythagoras(haar):
     # 3 phi + 4 psi is 7 on [0, 1/2) and -1 on [1/2, 1): L2 norm 5
-    e = WaveletExpansion(0, 0, np.array([3.0]), [np.array([4.0])])
+    e = WaveletExpansion(0, np.array([3.0, 4.0]))
     vals = synthesize_at(haar, e, midpoint_grid(2 ** 4))
     assert coefficient_norm(e) == pytest.approx(5.0)
     assert math.sqrt(float(np.mean(vals ** 2))) == pytest.approx(5.0, rel=1e-15)
@@ -380,7 +394,7 @@ def test_parseval_level_additivity(haar):
     energies = []
     for i in range(len(rows)):
         only = [row if k == i else np.zeros_like(row) for k, row in enumerate(rows)]
-        part = synthesize_at(haar, WaveletExpansion(0, 5, only[0], only[1:]), grid)
+        part = synthesize_at(haar, WaveletExpansion(0, np.concatenate(only)), grid)
         energies.append(float(np.mean(part ** 2)))
     total = float(np.mean(synthesize_at(haar, e, grid) ** 2))
     assert total == pytest.approx(sum(energies), rel=1e-12)
