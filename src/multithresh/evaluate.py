@@ -186,8 +186,9 @@ _CHUNK_REPS = 16
 def _empirical_coeffs(family, target, levels, n, streams) -> np.ndarray:
     """Coefficients mean_i psi_jk(X_i) of one density sample per ``derive_rng(*stream)``.
 
-    Returns shape (len(streams), len(levels)). Each row's mean has the bits
-    of the mean over its own sample, but eval_periodized runs once per chunk.
+    Returns shape (len(streams), len(levels)). Each row's mean has the bits of
+    the mean over its own sample, but eval_periodized runs once per chunk: at a
+    Haar level that is one synthesis of 2^(j+1) cells, taken at all chunk * n points.
     """
     out = np.empty((len(streams), len(levels)))
     for start in range(0, len(streams), _CHUNK_REPS):

@@ -8,7 +8,8 @@ the quadrature analysis of known functions) into one pyramid-ordered block
 ``[alpha | beta_tau | ... | beta_jmax]``, and the per-level grid tables cached on
 the family, from which synthesis on a midpoint grid of power-of-two size gathers
 the levels coarser than the grid. A Haar series, constant on the cells of its
-finest level, is synthesized once per cell and repeated onto the grid.
+finest level, is synthesized once per cell when there are no more cells than
+points. A basis function (``eval_periodized``) is the synthesis of a unit coefficient.
 
 Conventions:
   - the low-pass filter ``h`` sums to sqrt(2) and has unit l2 norm, so the
@@ -176,10 +177,6 @@ def build_family(name: str, cascade_depth: int = 12) -> WaveletFamily:
     )
 
 
-# ---------------------------------------------------------------------------
-# Pointwise evaluation
-# ---------------------------------------------------------------------------
-
 def _lerp(family: WaveletFamily, kind: str, z: np.ndarray) -> np.ndarray:
     """Interpolate the generator's cascade table at z in [0, support_width]."""
     table = family.phi_table if kind == "scaling" else family.psi_table
@@ -187,39 +184,6 @@ def _lerp(family: WaveletFamily, kind: str, z: np.ndarray) -> np.ndarray:
     i0 = np.minimum(np.floor(pos).astype(np.int64), len(table) - 2)
     frac = pos - i0
     return table[i0] * (1.0 - frac) + table[i0 + 1] * frac
-
-
-def eval_periodized(family: WaveletFamily, kind: str, j: int, k: int, x) -> np.ndarray | float:
-    """Evaluate the periodized basis function phi/psi_{j,k} at x.
-
-    The periodization sums integer translates, which for j >= tau collapses
-    to a single wrap: the generator evaluated at (2^j x - k) mod 2^j. The
-    value is 1-periodic in x, so arguments outside [0, 1] are meaningful.
-    Scaling functions are exposed at the coarsest level j = tau only.
-    """
-    if kind not in ("scaling", "wavelet"):
-        raise ValueError(f"kind must be 'scaling' or 'wavelet', got {kind!r}")
-    if kind == "scaling" and j != family.tau:
-        raise ValueError(f"scaling functions are exposed at j = tau = {family.tau} only")
-    if j < family.tau:
-        raise ValueError(f"level {j} below coarsest level tau = {family.tau}")
-    if not 0 <= k < (1 << j):
-        raise ValueError(f"shift k = {k} out of range for level {j}")
-    x_arr = np.asarray(x, dtype=float)
-    if not np.isfinite(x_arr).all():
-        raise ValueError("points must be finite")
-    z = np.mod((1 << j) * x_arr - k, 1 << j)  # never negative, so only the top is masked
-    if family.is_haar:
-        half = 1.0 if kind == "scaling" else 0.5  # where the sign flips
-        vals = np.where(z < half, 1.0, np.where(z < 1.0, -1.0, 0.0))
-    else:
-        vals = np.zeros_like(z)
-        ok = z <= family.support_width
-        vals[ok] = _lerp(family, kind, z[ok])
-    vals = 2.0 ** (j / 2.0) * vals
-    if np.isscalar(x) or x_arr.ndim == 0:
-        return float(vals)
-    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +265,8 @@ def _grid_table(family: WaveletFamily, kind: str, j: int, size: int) -> np.ndarr
     stencil at the first period, where pos = p. Cached on the family: per
     grid size the tables of the scaling level and of all wavelet levels with
     2^j < size hold fewer than 3 * support_width * size / 2^tau <= 3 * size floats.
-    Haar synthesis on a grid of N points also tables its cell grids, of sizes
-    2^top < N, which at most doubles that: fewer than 6 * N floats in all.
+    Haar synthesis tables its cell grids, of sizes 2^top no larger than the
+    call's point count: those up to C cells hold fewer than 6 * C floats in all.
     """
     key = (kind, j, size)
     table = family.grid_tables.get(key)
@@ -336,7 +300,7 @@ def _level_synth(
 ) -> np.ndarray:
     """Sum_k coeffs[..., k] * basis_{j,k}(x) for each row of coeffs, vectorized over x.
 
-    ``points`` = (x mod 1, pos, top) feeds ``_stencil``. ``grid_size`` says that x is
+    ``points`` = (x mod 1, pos, top) feeds ``_stencil``. ``grid_size`` asks for x =
     midpoint_grid(grid_size); levels coarser than that grid gather from its table
     instead, with the same products and sums, so the values are bit for bit the same.
     """
@@ -367,6 +331,30 @@ def _level_synth(
     return out
 
 
+def _synthesize(family: WaveletFamily, levels, x: np.ndarray, top: int) -> np.ndarray:
+    """Sum over ``levels``, (kind, j, coeffs) with j < top, of sum_k coeffs[..., k] basis_{j,k}(x).
+
+    x holds finite points in at least one axis. A Haar sum lies in V_top, constant on
+    the 2^top cells of width 2^-top: when there are no more cells than points it is
+    synthesized once per cell midpoint (the same products and sums in the same order)
+    and repeated onto a midpoint grid, or taken at each point's cell. Otherwise the
+    tables serve the levels coarser than a midpoint grid, and the stencil the rest.
+    """
+    size, points, cells = _dyadic_grid_size(x), None, 1 << top
+    on_cells = family.is_haar and cells <= x.size
+    if not on_cells and (size is None or cells > size):
+        points = _stencil_points(x, top)
+    grid_size = cells if on_cells else size
+    (kind, j, coeffs), *finer = levels
+    out = _level_synth(family, kind, j, coeffs, grid_size, points)
+    for kind, j, coeffs in finer:
+        out += _level_synth(family, kind, j, coeffs, grid_size, points)
+    if on_cells and size is None:
+        # np.take keeps a stack C-ordered, where out[..., idx] would not
+        return np.take(out, _stencil_points(x, top)[1] & (cells - 1), axis=-1)
+    return np.repeat(out, size >> top, axis=-1) if on_cells and size > cells else out
+
+
 def synthesize_at(
     family: WaveletFamily, expansion: WaveletExpansion, x: np.ndarray
 ) -> np.ndarray:
@@ -374,25 +362,36 @@ def synthesize_at(
 
     Returns a new ``rows + x.shape`` array: a stack of series gives one row
     per series, and each level's stencil at x is computed once for all rows,
-    with the same arithmetic per row as the synthesis of that row alone. On a
-    midpoint grid of power-of-two size N the levels coarser than the grid
-    gather from the family's grid tables, with bit for bit the same values. A
-    Haar series lies in V_top, top = max(tau, j_max) + 1, so it is constant on
-    the 2^top cells of width 2^-top; when 2^top < N it is synthesized once per
-    cell midpoint (the same products and sums in the same order) and each cell
-    is repeated N / 2^top times.
+    with the same arithmetic per row as the synthesis of that row alone. Grid
+    tables and Haar cells (see ``_synthesize``, top = max(tau, j_max) + 1)
+    give bit for bit the values of the stencil at the points.
     """
-    x = np.asarray(x, dtype=float)
-    grid_size, points, repeats = _dyadic_grid_size(x), None, 1
-    top = max(expansion.tau, expansion.j_max) + 1
-    if grid_size is None or 1 << top > grid_size:
-        points = _stencil_points(x, expansion.j_max + 1)
-    elif family.is_haar:
-        grid_size, repeats = 1 << top, grid_size >> top
-    out = _level_synth(family, "scaling", expansion.tau, expansion.alpha, grid_size, points)
-    for j, coeffs in zip(expansion.levels(), expansion.beta):
-        out += _level_synth(family, "wavelet", j, coeffs, grid_size, points)
-    return out if repeats == 1 else np.repeat(out, repeats, axis=-1)
+    levels = [("scaling", expansion.tau, expansion.alpha),
+              *(("wavelet", j, c) for j, c in zip(expansion.levels(), expansion.beta))]
+    return _synthesize(family, levels, np.asarray(x, dtype=float),
+                       max(expansion.tau, expansion.j_max) + 1)
+
+
+def eval_periodized(family: WaveletFamily, kind: str, j: int, k: int, x) -> np.ndarray | float:
+    """Evaluate the periodized basis function phi/psi_{j,k} at the finite points x.
+
+    The synthesis of the unit coefficient e_k at level j, with the bits of
+    ``synthesize_at`` on that expansion. The value is 1-periodic in x, so
+    arguments outside [0, 1] are meaningful. Scaling functions are exposed at
+    the coarsest level j = tau only.
+    """
+    if kind not in ("scaling", "wavelet"):
+        raise ValueError(f"kind must be 'scaling' or 'wavelet', got {kind!r}")
+    if kind == "scaling" and j != family.tau:
+        raise ValueError(f"scaling functions are exposed at j = tau = {family.tau} only")
+    if j < family.tau:
+        raise ValueError(f"level {j} below coarsest level tau = {family.tau}")
+    if not 0 <= k < (1 << j):
+        raise ValueError(f"shift k = {k} out of range for level {j}")
+    x_arr = np.asarray(x, dtype=float)
+    unit = np.eye(1, 1 << j, k)[0]  # e_k
+    vals = _synthesize(family, [(kind, j, unit)], np.atleast_1d(x_arr), j + 1)
+    return float(vals[0]) if x_arr.ndim == 0 else vals
 
 
 def analyze_points(

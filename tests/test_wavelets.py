@@ -460,10 +460,17 @@ def edge_points(rng, j_max):
                            [0.0, 0.5, 1.0 - 2.0 ** -53, 1.0, -1e-20, -0.75, 1.25]])
 
 
+def unit(size, k):
+    coeffs = np.zeros(size)
+    coeffs[k] = 1.0
+    return coeffs
+
+
 @pytest.mark.parametrize("name", SUPPORTED_FAMILIES)
 def test_eval_periodized_matches_masked_reference_at_cell_boundaries(name):
-    # the generator at (2^j x - k) mod 2^j, masked to [0, support_width] as the reference does,
-    # at every cell edge and midpoint of level j and both neighbours of each
+    # at every cell edge and midpoint of level j and both neighbours of each: bit for bit the
+    # reference synthesis of the unit coefficient e_k, and within 1e-12 of the generator at
+    # (2^j x - k) mod 2^j masked to [0, support_width], which misses the wrap point x < 0
     family = FAMILIES[name]
     for j in range(family.tau, family.tau + 4):
         cells = np.arange(1 << j)
@@ -473,9 +480,51 @@ def test_eval_periodized_matches_masked_reference_at_cell_boundaries(name):
         kinds = ("scaling", "wavelet") if j == family.tau else ("wavelet",)
         for kind in kinds:
             for k in range(1 << j):
+                got = eval_periodized(family, kind, j, k, x)
+                assert same_bits(got, ref_level_synth(family, kind, j, unit(1 << j, k), x)), \
+                    (kind, j, k)
                 z = np.mod((1 << j) * x - k, 1 << j)
-                want = 2.0 ** (j / 2.0) * ref_base_eval(family, kind, z)
-                assert same_bits(eval_periodized(family, kind, j, k, x), want), (kind, j, k)
+                lattice = 2.0 ** (j / 2.0) * ref_base_eval(family, kind, z)
+                np.testing.assert_allclose(got[x >= 0], lattice[x >= 0], rtol=0, atol=1e-12)
+
+
+def test_eval_periodized_at_the_wrap_point():
+    # x mod 1 rounds a tiny negative x to 1.0, which lies in the cell of x = 0
+    wrap = np.array([-1e-20, np.nextafter(0.0, -1.0)])
+    assert eval_periodized(FAMILIES["Haar"], "scaling", 0, 0, wrap).tolist() == [1.0, 1.0]
+    for family in FAMILIES.values():
+        shifts = range(1 << family.tau)
+        at_zero = sum(eval_periodized(family, "scaling", family.tau, k, 0.0) for k in shifts)
+        at_wrap = sum(eval_periodized(family, "scaling", family.tau, k, wrap) for k in shifts)
+        assert at_wrap.tolist() == [at_zero, at_zero] != [0.0, 0.0], family.name
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(SUPPORTED_FAMILIES),
+    extra=st.integers(min_value=0, max_value=3),
+    scaling=st.booleans(),
+    shift=st.integers(min_value=0, max_value=2 ** 7 - 1),
+    seed=st.integers(min_value=0, max_value=2 ** 16),
+)
+def test_eval_periodized_is_synthesis_of_a_unit_coefficient(name, extra, scaling, shift, seed):
+    # the basis function phi/psi_{j,k} is the series whose one coefficient is 1 at (j, k), bit
+    # for bit, at edges and wraps, on (rows, n) chunks, on both sides of the Haar cell rule
+    # 2^(j+1) <= x.size, and on midpoint grids with and without tables
+    family = FAMILIES[name]
+    kind = "scaling" if scaling else "wavelet"
+    j = family.tau if scaling else family.tau + extra
+    k = shift % (1 << j)
+    block = unit(1 << j, k) if scaling else unit(2 << j, (1 << j) + k)
+    expansion = WaveletExpansion(family.tau, block)
+    rng = np.random.default_rng(seed)
+    edges = edge_points(rng, j)
+    cells = 2 << j
+    xs = [edges, rng.choice(edges, (3, 40)), midpoint_grid(2 ** 10), midpoint_grid(1000)]
+    xs += [rng.choice(edges, size) for size in (cells - 1, cells, cells + 1)]
+    for x in xs:
+        got = eval_periodized(family, kind, j, k, x)
+        assert same_bits(got, synthesize_at(family, expansion, x)), (kind, j, k, x.shape)
 
 
 @pytest.mark.parametrize("name", SUPPORTED_FAMILIES)
@@ -506,7 +555,8 @@ def test_stack_synthesis_matches_per_row_synthesis(name):
         for x in (edge_points(rng, j_max), midpoint_grid(2 ** 12), midpoint_grid(2 ** 7),
                   midpoint_grid(1000), edge_points(rng, j_max)[:60].reshape(3, 4, 5)):
             values = synthesize_at(family, stack, x)
-            assert values.shape == (len(es),) + x.shape
+            # C order: a Fortran-ordered stack would sum its row means in another order
+            assert values.shape == (len(es),) + x.shape and values.flags.c_contiguous
             for e, got in zip(es, values):
                 assert same_bits(got, synthesize_at(family, e, x))
 
