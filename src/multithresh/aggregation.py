@@ -199,7 +199,8 @@ def multi_threshold_candidates(
     raw = _model_coeffs(train, family, j1, loss)
 
     u_grid = candidate_grid(n, j1)
-    # one row per candidate; one stencil per level at the learning points serves every row
+    # one row per candidate, synthesized once as a stack at the learning points: a Haar stack
+    # takes each point's cell from its pyramid, a Daubechies one runs one stencil per level
     stack = threshold_expansion(raw, make_plan(rho, u_grid, family.tau, j1, m), rule)
     learn_values = _clipped_values(family, stack, learn.x, loss)
     # the grid goes one row at a time: a row's values stay in cache, the whole stack's do not

@@ -2,14 +2,14 @@
 
 Compactly supported father/mother pairs: Haar in closed form, with no tables,
 and the Daubechies family through dyadic cascade tables with linear
-interpolation. One point stencil (``_stencil``) serves synthesis at points,
-its adjoint, analysis of a weighted point set (the empirical coefficients and
-the quadrature analysis of known functions) into one pyramid-ordered block
-``[alpha | beta_tau | ... | beta_jmax]``, and the per-level grid tables cached on
-the family, from which synthesis on a midpoint grid of power-of-two size gathers
-the levels coarser than the grid. A Haar series, constant on the cells of its
-finest level, is synthesized once per cell when there are no more cells than
-points. A basis function (``eval_periodized``) is the synthesis of a unit coefficient.
+interpolation. Haar runs Mallat's pyramid both ways: synthesis builds the cells
+of the finest level, and analysis with unit or 0/1 weights pairs histogram bins.
+Otherwise one point stencil (``_stencil``) serves synthesis at points, its adjoint,
+analysis of a weighted point set (the empirical coefficients and the quadrature
+analysis of known functions) into one block ``[alpha | beta_tau | ... | beta_jmax]``,
+and the Daubechies grid tables cached on the family, from which synthesis on a
+midpoint grid of power-of-two size gathers the levels coarser than the grid. A
+basis function (``eval_periodized``) is the synthesis of a unit coefficient.
 
 Conventions:
   - the low-pass filter ``h`` sums to sqrt(2) and has unit l2 norm, so the
@@ -78,8 +78,8 @@ class WaveletFamily:
     moments); it is documented, not numerically certified. ``psi_sup`` is a
     certified numerical upper bound on the sup norm of the mother wavelet
     (table maximum inflated by 1%, exact for Haar, whose cascade tables are
-    None). ``grid_tables`` caches the generator values of grid synthesis per
-    (kind, level, grid size).
+    None). ``grid_tables`` caches the generator values of Daubechies grid
+    synthesis per (kind, level, grid size); a Haar family keeps it empty.
     """
 
     name: str
@@ -265,8 +265,7 @@ def _grid_table(family: WaveletFamily, kind: str, j: int, size: int) -> np.ndarr
     stencil at the first period, where pos = p. Cached on the family: per
     grid size the tables of the scaling level and of all wavelet levels with
     2^j < size hold fewer than 3 * support_width * size / 2^tau <= 3 * size floats.
-    Haar synthesis tables its cell grids, of sizes 2^top no larger than the
-    call's point count: those up to C cells hold fewer than 6 * C floats in all.
+    Daubechies only: Haar synthesis runs the pyramid on its cells.
     """
     key = (kind, j, size)
     table = family.grid_tables.get(key)
@@ -334,25 +333,41 @@ def _level_synth(
 def _synthesize(family: WaveletFamily, levels, x: np.ndarray, top: int) -> np.ndarray:
     """Sum over ``levels``, (kind, j, coeffs) with j < top, of sum_k coeffs[..., k] basis_{j,k}(x).
 
-    x holds finite points in at least one axis. A Haar sum lies in V_top, constant on
-    the 2^top cells of width 2^-top: when there are no more cells than points it is
-    synthesized once per cell midpoint (the same products and sums in the same order)
-    and repeated onto a midpoint grid, or taken at each point's cell. Otherwise the
-    tables serve the levels coarser than a midpoint grid, and the stencil the rest.
+    Returns a new ``rows + x.shape`` array. A Haar sum lies in V_top, constant on its
+    cells: Mallat's inverse pyramid builds them, then they are repeated onto a midpoint
+    grid of at least as many points, or taken at each point's masked cell anywhere else.
+    A Daubechies sum gathers the levels coarser than a midpoint grid from its tables,
+    and the rest through the stencil at the finite points x.
     """
-    size, points, cells = _dyadic_grid_size(x), None, 1 << top
-    on_cells = family.is_haar and cells <= x.size
-    if not on_cells and (size is None or cells > size):
-        points = _stencil_points(x, top)
-    grid_size = cells if on_cells else size
+    if x.ndim == 0:
+        return _synthesize(family, levels, x.reshape(1), top).reshape(levels[0][2].shape[:-1])
+    size = _dyadic_grid_size(x)
+    if family.is_haar:
+        # one buffer of the finest cells; the partial sum after level j (levels run
+        # consecutively) sits at stride width / 2^j, and each of its cells splits into left
+        # + 2^(j/2) beta_j and right -: the stencil's terms per cell in its level order, the
+        # first added to 0.0, so the same bits
+        kind, j, coeffs = levels[-1]
+        width = 1 << j if kind == "scaling" else 2 << j
+        cells = np.zeros(coeffs.shape[:-1] + (width,))
+        for kind, j, coeffs in levels:
+            step = coeffs * 2.0 ** (j / 2.0)
+            left = cells[..., ::width >> j]
+            if kind == "wavelet":
+                np.subtract(left, step, out=cells[..., width >> (j + 1)::width >> j])
+            left += step
+        if size is not None and size >= width:
+            return np.repeat(cells, size // width, axis=-1)
+        pos = _stencil_points(x, width.bit_length() - 1)[1]
+        pos &= width - 1  # in place: a second index array costs page faults on large x
+        # np.take keeps a stack C-ordered, where cells[..., idx] would not
+        return np.take(cells, pos, axis=-1)
+    points = None if size is not None and 1 << top <= size else _stencil_points(x, top)
     (kind, j, coeffs), *finer = levels
-    out = _level_synth(family, kind, j, coeffs, grid_size, points)
+    out = _level_synth(family, kind, j, coeffs, size, points)
     for kind, j, coeffs in finer:
-        out += _level_synth(family, kind, j, coeffs, grid_size, points)
-    if on_cells and size is None:
-        # np.take keeps a stack C-ordered, where out[..., idx] would not
-        return np.take(out, _stencil_points(x, top)[1] & (cells - 1), axis=-1)
-    return np.repeat(out, size >> top, axis=-1) if on_cells and size > cells else out
+        out += _level_synth(family, kind, j, coeffs, size, points)
+    return out
 
 
 def synthesize_at(
@@ -360,11 +375,11 @@ def synthesize_at(
 ) -> np.ndarray:
     """Evaluate the wavelet series at arbitrary (unsorted) finite points.
 
-    Returns a new ``rows + x.shape`` array: a stack of series gives one row
-    per series, and each level's stencil at x is computed once for all rows,
-    with the same arithmetic per row as the synthesis of that row alone. Grid
-    tables and Haar cells (see ``_synthesize``, top = max(tau, j_max) + 1)
-    give bit for bit the values of the stencil at the points.
+    Returns a new ``rows + x.shape`` array, 0-d for a scalar x: a stack of
+    series gives one row per series, and each level's stencil at x is computed
+    once for all rows, with the same arithmetic per row as the synthesis of
+    that row alone. Grid tables and Haar cells (see ``_synthesize``, top =
+    max(tau, j_max) + 1) give bit for bit the values of the stencil at the points.
     """
     levels = [("scaling", expansion.tau, expansion.alpha),
               *(("wavelet", j, c) for j, c in zip(expansion.levels(), expansion.beta))]
@@ -390,8 +405,8 @@ def eval_periodized(family: WaveletFamily, kind: str, j: int, k: int, x) -> np.n
         raise ValueError(f"shift k = {k} out of range for level {j}")
     x_arr = np.asarray(x, dtype=float)
     unit = np.eye(1, 1 << j, k)[0]  # e_k
-    vals = _synthesize(family, [(kind, j, unit)], np.atleast_1d(x_arr), j + 1)
-    return float(vals[0]) if x_arr.ndim == 0 else vals
+    vals = _synthesize(family, [(kind, j, unit)], x_arr, j + 1)
+    return float(vals) if x_arr.ndim == 0 else vals
 
 
 def analyze_points(
@@ -400,17 +415,37 @@ def analyze_points(
 ) -> WaveletExpansion:
     """Coefficients (1/n) sum_i w_i phi/psi_{j,k}(x_i) for levels tau..j_max.
 
-    The adjoint of synthesis at the finite points x; ``weights`` None means
-    all ones, else they must be finite. Each point's position
-    floor(2^(j_max + 1) (x mod 1)) is taken once, and every level scatters
-    through ``_stencil`` from it into its slice of one pyramid-ordered block.
+    The adjoint of synthesis at the finite points of a 1-D x; ``weights`` None means
+    all ones, else finite and of x's shape; n >= 1. Each point's position
+    floor(2^(j_max + 1) (x mod 1)) is taken once. Haar with unit or 0/1 weights runs
+    Mallat's pyramid on one histogram of them, beta = left - right of adjacent bins and
+    left + right to the next coarser level: exact integers, so the stencil's bits. Else
+    each level scatters through ``_stencil``, into its slice of one pyramid-ordered block.
     """
     if j_max < family.tau - 1:
         raise ValueError(f"j_max = {j_max} below tau - 1 = {family.tau - 1} for {family.name}")
-    if weights is not None and not np.isfinite(weights).all():
-        raise ValueError("weights must be finite")
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"points must be a 1-D array, got shape {x.shape}")
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != x.shape:
+            raise ValueError(f"weights must have the points' shape {x.shape}, got {weights.shape}")
+        if not np.isfinite(weights).all():
+            raise ValueError("weights must be finite")
+    if not n >= 1:  # written positively so that NaN fails it too
+        raise ValueError(f"n must be at least 1, got {n}")
+    # decided before the stencil points, so its boolean temporaries do not add to their peak
+    pyramid = family.is_haar and (weights is None or ((weights == 0.0) | (weights == 1.0)).all())
     y, pos, top = _stencil_points(x, j_max + 1)
     coeffs = np.zeros(1 << top)
+    if pyramid:
+        sums = np.bincount(pos & ((1 << top) - 1), weights, minlength=1 << top)
+        for j in range(top - 1, family.tau - 1, -1):
+            coeffs[1 << j:2 << j] = (sums[0::2] - sums[1::2]) * 2.0 ** (j / 2.0) / n
+            sums = sums[0::2] + sums[1::2]
+        coeffs[:1 << family.tau] = sums * 2.0 ** (family.tau / 2.0) / n
+        return WaveletExpansion(family.tau, coeffs)
     for kind, j in [("scaling", family.tau), *(("wavelet", j) for j in range(family.tau, top))]:
         sums = coeffs[:1 << j] if kind == "scaling" else coeffs[1 << j:2 << j]
         # vals is new and scaled in place; freeing idx or vals early costs page faults

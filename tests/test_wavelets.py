@@ -564,8 +564,9 @@ def test_stack_synthesis_matches_per_row_synthesis(name):
 @pytest.mark.parametrize("size", [2 ** 10, 2 ** 14, 1000])
 @pytest.mark.parametrize("name", SUPPORTED_FAMILIES)
 def test_grid_tables_match_pointwise_stencil(name, size):
-    # j_max below log2 N uses tables on every level; j_max at or above it
-    # leaves the levels with 2^j >= N to the stencil; N = 1000 uses no table
+    # Daubechies: j_max below log2 N uses tables on every level; j_max at or above
+    # it leaves the levels with 2^j >= N to the stencil; N = 1000 uses no table.
+    # A Haar-filter family runs the pyramid on its cells and tables nothing.
     family = build_family(name, 12)
     rng = np.random.default_rng(size)
     grid = midpoint_grid(size)
@@ -581,7 +582,9 @@ def test_grid_tables_match_pointwise_stencil(name, size):
         moved[-1] = 1.0 - 0.25 / size
         assert same_bits(synthesize_at(family, e, moved), ref_synth(family, [e], moved)[0])
     tabled = {j for kind, j, n in family.grid_tables if n == size}
-    if size & (size - 1):
+    if family.is_haar:
+        assert not family.grid_tables
+    elif size & (size - 1):
         assert not tabled
     else:
         assert tabled == {j for j in range(family.tau, j_max + 1) if 2 ** j < size}
@@ -589,14 +592,13 @@ def test_grid_tables_match_pointwise_stencil(name, size):
 
 @pytest.mark.parametrize("size", [2, 16, 2 ** 10, 2 ** 14])
 def test_haar_grid_synthesis_repeats_its_cells_bit_for_bit(size):
-    # a Haar series is constant on the C = 2^(max(tau, j_max) + 1) cells: with C < N it is
-    # synthesized on the cell grid and repeated; grids no finer than the cells keep the table
-    # path of N, with the stencil for the levels 2^j >= N
+    # a Haar series is constant on the cells of its finest level: the inverse pyramid builds
+    # them, a grid at least as fine repeats them, and a coarser grid takes each point's cell;
+    # no grid table is made either way
     rng = np.random.default_rng(size)
     grid = midpoint_grid(size)
     for j_max in range(FAMILIES["Haar"].tau - 1, 14):
         haar = build_family("Haar")
-        cells = 1 << (max(haar.tau, j_max) + 1)
         es = [random_expansion(rng, haar.tau, j_max) for _ in range(3)]
         es[1].alpha[:] = -0.0
         for row in es[1].beta:
@@ -605,7 +607,7 @@ def test_haar_grid_synthesis_repeats_its_cells_bit_for_bit(size):
         assert same_bits(synthesize_at(haar, stack_of(es), grid), want), (j_max, size)
         first = synthesize_at(haar, es[0], grid)
         assert same_bits(first, want[0]), (j_max, size)
-        assert {n for _, _, n in haar.grid_tables} == ({cells} if cells < size else {size})
+        assert not haar.grid_tables
         # a fresh, writable array: the candidates are clipped in place
         first[:] = np.nan
         assert same_bits(synthesize_at(haar, es[0], grid), want[0])
@@ -637,3 +639,92 @@ def test_analyze_points_matches_stencil_reference(name, depth, record_property):
                 exact = exact and np.array_equal(g.view(np.int64), w.view(np.int64))
     record_property("bit_exact", exact)
     print(f"{name} depth {depth}: bit-exact {exact}")
+
+
+@pytest.mark.parametrize("name", SUPPORTED_FAMILIES)
+def test_synthesis_at_a_scalar_point_is_a_fresh_0d_array(name):
+    # rows + x.shape with x.shape = (): a 0-d array for one series, shape (rows,) for a stack
+    family = FAMILIES[name]
+    rng = np.random.default_rng(31)
+    es = [random_expansion(rng, family.tau, family.tau + 3) for _ in range(2)]
+    for x in (0.3, np.float64(-1e-20), np.array(1.0)):
+        got = synthesize_at(family, es[0], x)
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        assert same_bits(got, synthesize_at(family, es[0], [x])[0])
+        got[...] = np.nan  # writable, and shared with nothing the next call sees
+        assert same_bits(synthesize_at(family, es[0], x), synthesize_at(family, es[0], [x])[0])
+        stacked = synthesize_at(family, stack_of(es), x)
+        assert same_bits(stacked, synthesize_at(family, stack_of(es), [x])[:, 0])
+
+
+@pytest.mark.parametrize("x, weights, n, match", [
+    (np.full((2, 3), 0.5), None, 6, "1-D array, got shape \\(2, 3\\)"),
+    (np.array([0.1, 0.5, 0.9]), np.ones(2), 3, "weights must have the points' shape"),
+    (np.array([0.1, 0.5, 0.9]), None, 0, "n must be at least 1, got 0"),
+    (np.array([0.1, 0.5, 0.9]), None, -2, "n must be at least 1, got -2"),
+])
+def test_analyze_points_rejects_malformed_input_at_entry(haar, db4, x, weights, n, match):
+    for family in (haar, db4):
+        with pytest.raises(ValueError, match=match):
+            analyze_points(family, x, weights, 4, n)
+
+
+# ---------------------------------------------------------------------------
+# Mallat's pyramid for Haar against the per-level reference
+# ---------------------------------------------------------------------------
+
+def haar_points(rng, j_max, size):
+    """Uniform points mixed with cell edges of the finest level, their neighbours and wraps."""
+    top = 1 << (j_max + 1)
+    dyadic = rng.integers(0, top + 1, size) / top
+    pick = rng.integers(0, 6, size)
+    return np.choose(pick, [rng.uniform(size=size), dyadic, np.nextafter(dyadic, -1.0),
+                            np.nextafter(dyadic, 2.0), np.full(size, -1e-20),
+                            rng.uniform(-1.0, 2.0, size)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(["Haar", "Daubechies2"]),
+    j_max=st.integers(min_value=-1, max_value=13),
+    log_n=st.integers(min_value=4, max_value=14),
+    offset=st.integers(min_value=-2, max_value=2),
+    weights=st.sampled_from(["unit", "binary", "fraction"]),
+    seed=st.integers(min_value=0, max_value=2 ** 16),
+)
+def test_haar_histogram_analysis_matches_the_per_level_reference(name, j_max, log_n, offset,
+                                                                 weights, seed):
+    # unit (density) and 0/1 (Bernoulli regression) weights take the histogram pyramid; every
+    # partial sum is an exact integer, so each level equals the per-level bincounts bit for bit.
+    # Weights in (0, 1), as in uniform-noise regression, must keep the per-level bincounts.
+    family = FAMILIES[name]
+    rng = np.random.default_rng(seed)
+    n = (1 << log_n) + offset
+    x = haar_points(rng, j_max, n)
+    weights = {"unit": None, "binary": (rng.uniform(size=n) < 0.5).astype(float),
+               "fraction": rng.uniform(size=n)}[weights]
+    got = analyze_points(family, x, weights, j_max, n)
+    want = ref_analysis(family, x, weights, j_max, n)
+    assert got.j_max == j_max
+    assert all(same_bits(g, w) for g, w in zip([got.alpha, *got.beta], want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    j_max=st.integers(min_value=-1, max_value=12),
+    rows=st.integers(min_value=1, max_value=4),
+    negative_zero=st.integers(min_value=0, max_value=3),
+    size=st.sampled_from([2, 3, 16, 100, 1000, 2 ** 10, 2 ** 13]),
+    seed=st.integers(min_value=0, max_value=2 ** 16),
+)
+def test_haar_pyramid_synthesis_matches_the_reference(j_max, rows, negative_zero, size, seed):
+    # the inverse pyramid's cells, repeated onto grids finer than the cells or taken at points,
+    # on coarser and non-dyadic grids and for stacks with -0.0 rows, equal the reference stencil
+    family = FAMILIES["Haar"]
+    rng = np.random.default_rng(seed)
+    es = [random_expansion(rng, family.tau, j_max) for _ in range(rows)]
+    es[negative_zero % rows].coeffs[:] = -0.0
+    for x in (midpoint_grid(size), haar_points(rng, j_max, size),
+              haar_points(rng, j_max, 2 * size).reshape(2, size)):
+        assert same_bits(synthesize_at(family, stack_of(es), x), ref_synth(family, es, x))
+        assert same_bits(synthesize_at(family, es[0], x), ref_synth(family, es[:1], x)[0])
