@@ -144,7 +144,7 @@ class OngleReport:
     witness: tuple[float, float, float, float, float] | None = None
 
 
-# x rows per tile: 3 work arrays of 16 x 2001 floats (0.77 MB) stay in L2 on the default grid
+# x rows per tile: the exact check's 3 work arrays of at most 16 x 2001 floats (0.77 MB) stay in L2
 _TILE_ROWS = 16
 _REPORT_ROWS = 512  # a failure's points_checked counts through the end of its 512-row block
 
@@ -158,11 +158,12 @@ def verify_ongle(
     """Grid-check |T_u(x) - y|^2 <= c1 (min(|y|, c2 u)^2 + |x-y|^2 1{|x-y| >= u/2}).
 
     Scans x, y over [-search_range, search_range] with the given step for
-    every u in ``u_grid``, 16 x rows at a time so that the work arrays stay in
-    L2 cache. Returns a failing witness (x, y, u, lhs, rhs), at the first
-    failing x row and its smallest y, when the inequality breaks anywhere on
-    the grid. ``points_checked`` counts all (x, y) pairs of each u scanned; at
-    a failing u it counts the x rows through the end of the witness's 512-row block.
+    every u in ``u_grid``, 16 x rows at a time; a rounding-safe bound clears the
+    y columns of a tile where no row can fail, and the rest get the exact check.
+    Returns a failing witness (x, y, u, lhs, rhs), at the first failing x row and
+    its smallest y, when the inequality breaks anywhere on the grid. ``points_checked``
+    counts all (x, y) pairs of each u scanned, cleared or checked; at a failing u
+    it counts the x rows through the end of the witness's 512-row block.
     """
     u_grid = np.asarray(u_grid, dtype=float)
     if not 0.0 < xy_grid_step < math.inf:
@@ -179,9 +180,17 @@ def verify_ongle(
         transformed = apply_rule(rule, float(u), xs)
         min_term = rule.c1 * np.minimum(np.abs(xs), rule.c2 * u) ** 2
         for start in range(0, n, _TILE_ROWS):
-            (diff, lhs, rhs), band = work[:, : n - start], mask[: n - start]
-            np.subtract(xs[start:start + _TILE_ROWS, None], xs, out=diff)
-            np.subtract(transformed[start:start + _TILE_ROWS, None], xs, out=lhs)
+            x_tile, t_tile = xs[start:start + _TILE_ROWS], transformed[start:start + _TILE_ROWS]
+            # every row: lhs <= reach^2, rhs >= rhs_lo, rounding being monotone; dist < 0 in x range
+            reach = np.maximum(np.abs(t_tile.max() - xs), np.abs(t_tile.min() - xs))
+            dist = np.maximum(x_tile.min() - xs, xs - x_tile.max())
+            rhs_lo = np.where(dist >= u / 2.0, rule.c1 * dist * dist, 0.0) + min_term
+            keep = np.flatnonzero(~(reach * reach < rhs_lo))  # in order, so the witness stays
+            if not keep.size:
+                continue
+            (diff, lhs, rhs), band = work[:, :n - start, :keep.size], mask[:n - start, :keep.size]
+            np.subtract(x_tile[:, None], xs[keep], out=diff)
+            np.subtract(t_tile[:, None], xs[keep], out=lhs)
             lhs **= 2
             # rhs = c1 diff^2 1{|diff| >= u/2} + min_term, then the slack; zeroing the band gives
             # the bits of the product with the indicator, as c1 diff^2 is finite and >= 0
@@ -189,14 +198,15 @@ def verify_ongle(
             np.multiply(diff, rule.c1, out=rhs)
             rhs *= diff
             np.copyto(rhs, 0.0, where=band)
-            rhs += min_term
+            rhs += min_term[keep]
             rhs *= 1.0 + 1e-12
             if np.greater(lhs, rhs, out=band).any():
-                i, j = np.argwhere(band)[0]
+                i, k = np.argwhere(band)[0]
+                j = keep[k]
                 row, d = start + i, xs[start + i] - xs[j]
                 rows_checked = min((row // _REPORT_ROWS + 1) * _REPORT_ROWS, n)
                 rhs_at = d * rule.c1 * d * float(abs(d) >= u / 2.0) + min_term[j]  # no slack
-                witness = (float(xs[row]), float(xs[j]), float(u), float(lhs[i, j]), float(rhs_at))
+                witness = (float(xs[row]), float(xs[j]), float(u), float(lhs[i, k]), float(rhs_at))
                 return OngleReport(False, rule.kind, rule.c1, rule.c2,
                                    (iu * n + rows_checked) * n, witness)
     return OngleReport(True, rule.kind, rule.c1, rule.c2, len(u_grid) * n * n)

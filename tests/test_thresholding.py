@@ -420,6 +420,35 @@ def test_tiled_scan_reports_as_the_block_scan_property(kind, c1, c2, step):
     assert verify_ongle(rule, U_GRID, step, 10.0) == _block_verify_ongle(rule, U_GRID, step, 10.0)
 
 
+# witnesses in the band |x - y| < u/2, where the column bound counts no c1 |x - y|^2 term:
+# y outside the witness's tile (rows 23, 518), on the band edge at a tile's first row (912),
+# and rows past 900
+@pytest.mark.parametrize("rule,u_grid,step,failing_row", [
+    (ThresholdRule("soft", 1.5, 1.0), (1.0,), 0.01, 23),
+    (ThresholdRule("garrote", 2.0, 0.5), (1.0,), 0.01, 518),
+    (ThresholdRule("garrote", 1.5, 0.5), U_GRID, 0.01, 912),
+    (ThresholdRule("garrote", 3.0, 0.5), U_GRID, 0.01, 973),
+    (ThresholdRule("hard", 6.0, 0.5), U_GRID, 0.01, 991),
+    (ThresholdRule("hard", 2.0, 1.0), U_GRID, 0.01, 1010),
+])
+def test_column_bound_keeps_witnesses_in_the_band(rule, u_grid, step, failing_row):
+    report = verify_ongle(rule, u_grid, step, 10.0)
+    assert report == _block_verify_ongle(rule, u_grid, step, 10.0)
+    x, y, u, _, _ = report.witness
+    assert abs(x - y) < u / 2.0
+    assert x == np.arange(-10.0, 10.0 + step / 2.0, step)[failing_row]
+
+
+@settings(max_examples=50, deadline=None)
+@given(u_grid=st.lists(st.floats(0.0, 2.0, exclude_min=True), min_size=1, max_size=4),
+       kind=st.sampled_from(["hard", "soft", "garrote"]),
+       c1=st.floats(0.0, 10.0), c2=st.floats(0.0, 3.0), step=st.floats(0.01, 0.5))
+def test_column_bound_clears_no_failing_pair(u_grid, kind, c1, c2, step):
+    # random thresholds, failing constants (c1 < 1) included, and grids that end in a part tile
+    rule = ThresholdRule(kind, c1, c2)
+    assert verify_ongle(rule, u_grid, step, 10.0) == _block_verify_ongle(rule, u_grid, step, 10.0)
+
+
 def test_verify_ongle_working_set_stays_in_cache():
     # the 512-row block scan held about 33 MB of work arrays on this grid
     tracemalloc.start()

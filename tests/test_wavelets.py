@@ -509,8 +509,9 @@ def test_eval_periodized_at_the_wrap_point():
 )
 def test_eval_periodized_is_synthesis_of_a_unit_coefficient(name, extra, scaling, shift, seed):
     # the basis function phi/psi_{j,k} is the series whose one coefficient is 1 at (j, k), bit
-    # for bit, at edges and wraps, on (rows, n) chunks, on both sides of the Haar cell rule
-    # 2^(j+1) <= x.size, and on midpoint grids with and without tables
+    # for bit, at edges and wraps, on (rows, n) chunks, on random point sets of one fewer, as
+    # many and one more points than the 2^(j+1) cells (Haar takes each point's cell at every
+    # size), and on midpoint grids with and without tables
     family = FAMILIES[name]
     kind = "scaling" if scaling else "wavelet"
     j = family.tau if scaling else family.tau + extra
