@@ -24,9 +24,10 @@ from .aggregation import (
     split_sample,
     universal_threshold_estimate,
 )
-from .coefficients import MODELS, loss_difference_bound, margin_constant, min_rho
+from .coefficients import (MIN_SAMPLE_SIZE, MODELS, DensitySample, loss_difference_bound,
+                           margin_constant, min_rho)
 from .simulate import (TargetFunction, check_noise, derive_rng, get_target, sample_density,
-                       sample_regression)
+                       sample_density_rows, sample_regression)
 from .thresholding import ThresholdRule, check_rho
 from .wavelets import (DEFAULT_GRID_SIZE, WaveletFamily, analyze, build_family,
                        eval_periodized, midpoint_grid)
@@ -179,21 +180,22 @@ def mean_risk_by_n(results, column: str = "aggregate_risk"):
 # Hypothesis checks
 # ---------------------------------------------------------------------------
 
-# replications stacked into one (chunk, n) array; larger chunks only raise peak memory
+# replications sampled as one (chunk, n) block; larger chunks only raise peak memory
 _CHUNK_REPS = 16
 
 
 def _empirical_coeffs(family, target, levels, n, streams) -> np.ndarray:
     """Coefficients mean_i psi_jk(X_i) of one density sample per ``derive_rng(*stream)``.
 
-    Returns shape (len(streams), len(levels)). Each row's mean has the bits of
-    the mean over its own sample, but eval_periodized runs once per chunk: at a
-    Haar level that is one synthesis of 2^(j+1) cells, taken at all chunk * n points.
+    Returns shape (len(streams), len(levels)). Each row's sample and mean have the
+    bits of its own stream's, but sampling and eval_periodized run once per chunk:
+    at a Haar level that is one synthesis of 2^(j+1) cells, taken at all chunk * n points.
     """
     out = np.empty((len(streams), len(levels)))
     for start in range(0, len(streams), _CHUNK_REPS):
         chunk = streams[start:start + _CHUNK_REPS]
-        x = np.stack([sample_density(target, n, derive_rng(*s)).x for s in chunk])
+        x = sample_density_rows(target, n, [derive_rng(*s) for s in chunk])
+        DensitySample(x.ravel())  # the [0, 1] check, once for the whole chunk
         for col, (j, k) in enumerate(levels):
             out[start:start + len(chunk), col] = np.mean(
                 eval_periodized(family, "wavelet", j, k, x), axis=1)
@@ -201,20 +203,24 @@ def _empirical_coeffs(family, target, levels, n, streams) -> np.ndarray:
 
 
 def check_levels(family: WaveletFamily, levels) -> None:
-    """Require tau <= j and 0 <= k < 2^j of every wavelet index (j, k) in ``levels``."""
+    """Require one or more wavelet indices (j, k), each with tau <= j and 0 <= k < 2^j."""
+    if not levels:
+        raise ValueError("levels: need at least one wavelet index (j, k)")
     for j, k in levels:
         if not (family.tau <= j and 0 <= k < (1 << j)):
             raise ValueError(f"wavelet index (j, k) = ({j}, {k}) needs tau <= j and "
                              f"0 <= k < 2^j; tau = {family.tau} for {family.name}")
 
 
-def _true_coeffs(family: WaveletFamily, target: TargetFunction, levels, reps: int,
+def _true_coeffs(family: WaveletFamily, target: TargetFunction, levels, ns, reps: int,
                  truth_grid: int) -> list:
     """True coefficient of the density target at each (j, k) in ``levels``, by quadrature."""
     if not target.is_density:
         raise ValueError("the coefficient checks run in the density model")
     if reps < 1:
         raise ValueError("reps must be at least 1")
+    if min(ns) < MIN_SAMPLE_SIZE:
+        raise ValueError(f"n must be at least {MIN_SAMPLE_SIZE}, got {min(ns)}")
     check_levels(family, levels)
     truth = analyze(family, target, max(j for j, _ in levels), truth_grid)
     return [truth.coeffs[(1 << j) + k] for j, k in levels]
@@ -251,7 +257,7 @@ def check_moment(
     if len(set(ns)) != len(ns):
         raise ValueError(f"n: sample sizes must be distinct, got {tuple(ns)}")
     levels = [(int(j), int(k)) for j, k in levels]
-    true_beta = _true_coeffs(family, target, levels, reps, truth_grid)
+    true_beta = _true_coeffs(family, target, levels, ns, reps, truth_grid)
     moments = []
     for n in ns:
         acc = 0.0
@@ -308,7 +314,9 @@ def check_deviation(
         rho = min_rho(target.clip_bound, family.psi_sup, "density")
     check_rho(rho)
     a_values = np.asarray(a_values, dtype=float)
-    beta_true, = _true_coeffs(family, target, [level], reps, truth_grid)
+    if not a_values.size or not np.all((a_values >= 0.0) & (a_values < math.inf)):
+        raise ValueError(f"a: need finite deviation sizes >= 0, got {tuple(a_values.tolist())}")
+    beta_true, = _true_coeffs(family, target, [level], [n], reps, truth_grid)
     streams = [(root_seed, rep) for rep in range(reps)]
     beta_hat = _empirical_coeffs(family, target, [level], n, streams)[:, 0]
     deviations = 2.0 * math.sqrt(n) * np.abs(beta_hat - beta_true)

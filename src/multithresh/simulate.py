@@ -99,28 +99,40 @@ def get_target(name: str, model: str | None = None) -> TargetFunction:
 def sample_density(
     target: TargetFunction, n: int, seed: int | np.random.Generator
 ) -> DensitySample:
-    """n i.i.d. draws from the target density by rejection sampling.
+    """n i.i.d. draws from the target density: one row of ``sample_density_rows``."""
+    rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed)
+    return DensitySample(sample_density_rows(target, n, [rng])[0])
 
-    Proposals are uniform on [0, 1]; a proposal x with companion uniform u is
-    accepted when u * B <= f(x), so the flat target accepts every proposal
-    and the output equals the raw proposal stream.
+
+def sample_density_rows(target: TargetFunction, n: int, rngs) -> np.ndarray:
+    """Rejection sampling of n draws from the target density per generator, one row each.
+
+    Row r and the state of ``rngs[r]`` are those of the loop below on ``rngs[r]`` alone;
+    the first proposals and companions of all rows are just one block, one target call.
     """
     if not target.is_density:
         raise ValueError(f"target {target.name!r} is not a density")
     if n < MIN_SAMPLE_SIZE:
         raise ValueError(f"n must be at least {MIN_SAMPLE_SIZE}, got {n}")
-    rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed)
-    out = np.empty(n)
-    filled = 0
-    while filled < n:
-        chunk = max(n - filled, 64)
-        proposals = rng.uniform(size=chunk)
-        companions = rng.uniform(size=chunk)
-        accepted = proposals[companions * target.bound <= target(proposals)]
-        take = min(len(accepted), n - filled)
-        out[filled:filled + take] = accepted[:take]
-        filled += take
-    return DensitySample(out)
+    first = max(n, 64)
+    draws = np.empty((len(rngs), 2 * first))
+    for rng, row in zip(rngs, draws):
+        rng.random(out=row)  # the doubles of uniform(size=first) twice
+    proposals = draws[:, :first]
+    accept = draws[:, first:] * target.bound <= target(proposals)
+    if first == n and accept.all():
+        return proposals.copy()
+    out = np.empty((len(rngs), n))
+    for rng, row, chunk, ok in zip(rngs, out, proposals, accept):
+        accepted = chunk[ok]
+        filled = min(len(accepted), n)
+        row[:filled] = accepted[:filled]
+        while filled < n:  # a short row continues with its own generator
+            chunk, companions = rng.uniform(size=(2, max(n - filled, 64)))
+            accepted = chunk[companions * target.bound <= target(chunk)][:n - filled]
+            row[filled:filled + len(accepted)] = accepted
+            filled += len(accepted)
+    return out
 
 
 def check_noise(target: TargetFunction, noise: str) -> None:

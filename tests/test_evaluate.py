@@ -260,6 +260,28 @@ def test_checks_validate_levels_before_sampling(monkeypatch, levels, bad):
         check_deviation(build_family("Daubechies10", 8), uniform, 2.0, (1.0,), 128, 10)
 
 
+@pytest.mark.parametrize("check,match", [
+    (lambda f, t: check_deviation(f, t, 2.0, (), 128, 10), r"a: .* got \(\)"),
+    (lambda f, t: check_deviation(f, t, 2.0, (1.0, -0.5), 128, 10), r"a: .* got \(1.0, -0.5\)"),
+    (lambda f, t: check_deviation(f, t, 2.0, (math.nan,), 128, 10), r"a: .* got \(nan,\)"),
+    (lambda f, t: check_deviation(f, t, 2.0, (math.inf,), 128, 10), r"a: .* got \(inf,\)"),
+    (lambda f, t: check_deviation(f, t, 2.0, (1.0,), 15, 10), "n must be at least 16, got 15"),
+    (lambda f, t: check_moment(f, t, [], (256, 1024, 4096), 10), "levels: need at least one"),
+    (lambda f, t: evaluate.check_levels(f, ()), r"levels: need at least one wavelet index \(j, k\)"),
+    (lambda f, t: check_moment(f, t, [(2, 0)], (256, 8, 4096), 10),
+     "n must be at least 16, got 8"),
+], ids=["no-a", "negative-a", "nan-a", "inf-a", "deviation-small-n", "no-levels",
+        "check-levels-empty", "moment-small-n"])
+def test_checks_reject_bad_inputs_before_the_truth_analysis(monkeypatch, haar, check, match):
+    def no_work(*args):
+        raise AssertionError("a check ran before validating its inputs")
+
+    for name in ("analyze", "sample_density_rows", "derive_rng"):
+        monkeypatch.setattr(evaluate, name, no_work)
+    with pytest.raises(ValueError, match=match):
+        check(haar, get_target("uniform", "density"))
+
+
 def test_check_deviation_zero_exceedances_at_theory_rho(haar):
     rho = min_rho(1.0, 1.0, "density")
     report = check_deviation(
@@ -333,17 +355,20 @@ def test_chunked_replications_match_the_per_replication_loop(monkeypatch, family
     target = get_target("bump", "density")
     calls = []
 
-    def recorded(name):
+    def recorded(name, record):
         inner = getattr(evaluate, name)
 
         def wrapper(*args):
-            # a sample_density call is recorded with its n, a derive_rng call with its indices
-            calls.append((name, args[1] if name == "sample_density" else args))
+            calls.append((name, record(*args)))
             return inner(*args)
         return wrapper
 
-    for name in ("derive_rng", "sample_density"):
-        monkeypatch.setattr(evaluate, name, recorded(name))
+    # a derive_rng call is recorded with its indices, a sampler call with the draws it
+    # returns: n for sample_density (looped), rows * n for sample_density_rows (chunked)
+    for name, record in (("derive_rng", lambda *indices: indices),
+                         ("sample_density", lambda target, n, rng: n),
+                         ("sample_density_rows", lambda target, n, rngs: len(rngs) * n)):
+        monkeypatch.setattr(evaluate, name, recorded(name, record))
     runs = {}
     for label, moment, deviation in (
             ("chunked", check_moment, check_deviation),
@@ -353,10 +378,11 @@ def test_chunked_replications_match_the_per_replication_loop(monkeypatch, family
             moment(family, target, [(2, 0), (3, 1)], (64, 128, 256), reps, 11, 2 ** 12),
             deviation(family, target, 2.0, (0.5, 1.0, 2.0), 128, reps, 11, (3, 1), 2 ** 12),
         )
-        runs[label] = reports, sorted(calls)
+        streams = sorted(indices for name, indices in calls if name == "derive_rng")
+        draws = sum(n for name, n in calls if name != "derive_rng")
+        runs[label] = reports, streams, draws
     assert runs["chunked"] == runs["looped"]
-    draws = sum(n for name, n in runs["chunked"][1] if name == "sample_density")
-    assert draws == reps * (64 + 128 + 256 + 128)
+    assert runs["chunked"][2] == reps * (64 + 128 + 256 + 128)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multithresh import simulate
 from multithresh.simulate import (
     AUDIT_GRID_SIZE,
+    MIN_SAMPLE_SIZE,
     MODELS,
     UNIFORM_NOISE_DELTA,
     derive_rng,
@@ -131,6 +132,42 @@ def test_sample_density_deterministic():
 def test_sample_density_rejects_non_density():
     with pytest.raises(ValueError):
         sample_density(get_target("triangle", "regression"), 64, 0)
+
+
+def _one_stream_sample(target, n, rng):
+    """Reference: the rejection loop on one generator, with two uniform draws per chunk."""
+    out = np.empty(n)
+    filled = 0
+    while filled < n:
+        chunk = max(n - filled, 64)
+        proposals = rng.uniform(size=chunk)
+        companions = rng.uniform(size=chunk)
+        accepted = proposals[companions * target.bound <= target(proposals)]
+        take = min(len(accepted), n - filled)
+        out[filled:filled + take] = accepted[:take]
+        filled += take
+    return out
+
+
+# below, at and above the 64-proposal first chunk, for the flat and the rejecting targets
+@settings(max_examples=150, deadline=None)
+@given(stem=st.sampled_from(STEMS),
+       n=st.integers(MIN_SAMPLE_SIZE, 80) | st.integers(81, 4096),
+       rows=st.integers(1, 17), seed=st.integers(0, 2 ** 32 - 1))
+@example(stem="uniform", n=MIN_SAMPLE_SIZE, rows=1, seed=0)
+@example(stem="uniform", n=63, rows=3, seed=1)
+@example(stem="bump", n=64, rows=17, seed=2)
+@example(stem="twostep", n=4096, rows=2, seed=3)
+def test_row_sampler_has_the_bits_of_one_stream_per_row(stem, n, rows, seed):
+    target = get_target(stem, "density")
+    blocked = [derive_rng(seed, row) for row in range(rows)]
+    looped = [derive_rng(seed, row) for row in range(rows)]
+    x = simulate.sample_density_rows(target, n, blocked)
+    assert x.shape == (rows, n) and x.flags.c_contiguous
+    want = np.stack([_one_stream_sample(target, n, rng) for rng in looped])
+    np.testing.assert_array_equal(x.view(np.int64), want.view(np.int64))
+    # each generator is left where the one-stream loop leaves it
+    assert [rng.random() for rng in blocked] == [rng.random() for rng in looped]
 
 
 def test_triangle_sampler_kolmogorov_smirnov():
