@@ -74,12 +74,7 @@ class RegressionSample:
 
 def _dyadic_level(target: float) -> int:
     """The unique integer j with target <= 2^j < 2 target, for target >= 1."""
-    j = math.ceil(math.log2(target))
-    while 2.0 ** j < target:
-        j += 1
-    while j > 0 and 2.0 ** (j - 1) >= target:
-        j -= 1
-    return j
+    return (math.ceil(target) - 1).bit_length()  # 2^j >= target exactly when 2^j >= ceil(target)
 
 
 def j1_level(n: int) -> int:

@@ -212,13 +212,11 @@ def check_levels(family: WaveletFamily, levels) -> None:
                              f"0 <= k < 2^j; tau = {family.tau} for {family.name}")
 
 
-def _true_coeffs(family: WaveletFamily, target: TargetFunction, levels, ns, reps: int,
+def _true_coeffs(family: WaveletFamily, target: TargetFunction, levels, ns,
                  truth_grid: int) -> list:
     """True coefficient of the density target at each (j, k) in ``levels``, by quadrature."""
     if not target.is_density:
         raise ValueError("the coefficient checks run in the density model")
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
     if min(ns) < MIN_SAMPLE_SIZE:
         raise ValueError(f"n must be at least {MIN_SAMPLE_SIZE}, got {min(ns)}")
     check_levels(family, levels)
@@ -254,10 +252,12 @@ def check_moment(
     quadrature analysis (exact for Haar on a resolving grid). Passes when
     the fitted slope sits in [-2.3, -1.7].
     """
-    if len(set(ns)) != len(ns):
-        raise ValueError(f"n: sample sizes must be distinct, got {tuple(ns)}")
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
+    if not 3 <= len(set(ns)) == len(ns):
+        raise ValueError(f"n: need at least three sample sizes, all distinct, got {tuple(ns)}")
     levels = [(int(j), int(k)) for j, k in levels]
-    true_beta = _true_coeffs(family, target, levels, ns, reps, truth_grid)
+    true_beta = _true_coeffs(family, target, levels, ns, truth_grid)
     moments = []
     for n in ns:
         acc = 0.0
@@ -316,7 +316,9 @@ def check_deviation(
     a_values = np.asarray(a_values, dtype=float)
     if not a_values.size or not np.all((a_values >= 0.0) & (a_values < math.inf)):
         raise ValueError(f"a: need finite deviation sizes >= 0, got {tuple(a_values.tolist())}")
-    beta_true, = _true_coeffs(family, target, [level], [n], reps, truth_grid)
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
+    beta_true, = _true_coeffs(family, target, [level], [n], truth_grid)
     streams = [(root_seed, rep) for rep in range(reps)]
     beta_hat = _empirical_coeffs(family, target, [level], n, streams)[:, 0]
     deviations = 2.0 * math.sqrt(n) * np.abs(beta_hat - beta_true)

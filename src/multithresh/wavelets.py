@@ -158,9 +158,6 @@ def build_family(name: str, cascade_depth: int = 12) -> WaveletFamily:
         )
     h = np.asarray(_FILTERS[name], dtype=float)
     support_width = len(h) - 1
-    tau = 0
-    while (1 << tau) < support_width:
-        tau += 1
     # Haar is evaluated in closed form: no tables, and sup |psi| is exactly 1
     phi_table, psi_table = _cascade_tables(h, cascade_depth) if support_width > 1 else (None, None)
     psi_sup = 1.0 if psi_table is None else float(np.abs(psi_table).max()) * 1.01
@@ -168,7 +165,7 @@ def build_family(name: str, cascade_depth: int = 12) -> WaveletFamily:
         name=name,
         lowpass=h,
         support_width=support_width,
-        tau=tau,
+        tau=(support_width - 1).bit_length(),  # the least tau with 2^tau >= support_width
         regularity=max(1, len(h) // 2),
         psi_sup=psi_sup,
         cascade_depth=cascade_depth,

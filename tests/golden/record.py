@@ -29,7 +29,7 @@ CHECKS = {
     "check_ongle_soft": ["ongle", "--rule", "soft"],
     "check_ongle_garrote": ["ongle", "--rule", "garrote"],
     "check_ongle_fail": ["ongle", "--rule", "hard", "--c1", "0.5"],
-    # fails at x row 1010 of the first u, far past the first 16-row tile
+    # fails at x row 1010 of the first u, far past the first 64-row tile
     "check_ongle_late": ["ongle", "--rule", "hard", "--c1", "2", "--c2", "1"],
     "check_moment": ["moment", "--n", "64,128,256", "--reps", "40", "--seed", "3"],
     "check_moment_db4": ["moment", "--family", "Daubechies4", "--n", "64,128,256",

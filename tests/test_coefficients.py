@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multithresh import simulate
@@ -12,6 +12,7 @@ from multithresh.coefficients import (
     MODELS,
     DensitySample,
     RegressionSample,
+    _dyadic_level,
     density_coeffs,
     j1_level,
     js_level,
@@ -78,6 +79,19 @@ def test_j1_level_bracketing_unique():
         # neighbors violate the bracket, so the solution is unique
         assert not (target <= 2.0 ** (j - 1) < 2.0 * target)
         assert not (target <= 2.0 ** (j + 1) < 2.0 * target)
+
+
+@given(st.floats(1.0, 1e15))
+@example(1.0)
+@example(2.0)
+@example(4.0)
+@example(2.0 ** 40)
+@example(math.nextafter(2.0, 3.0))
+@example(math.nextafter(4.0, 0.0))
+def test_dyadic_level_is_the_least_power_of_two_at_or_above(target):
+    j = _dyadic_level(target)
+    assert target <= 2.0 ** j < 2.0 * target
+    assert j == 0 or 2.0 ** (j - 1) < target
 
 
 def test_js_level_values():

@@ -246,6 +246,7 @@ def test_checks_validate_levels_before_sampling(monkeypatch, levels, bad):
         raise AssertionError("a check sampled before validating its levels")
 
     monkeypatch.setattr(evaluate, "sample_density", no_sampling)
+    monkeypatch.setattr(evaluate, "sample_density_rows", no_sampling)
     monkeypatch.setattr(evaluate, "analyze", no_sampling)
     db6, uniform = build_family("Daubechies6", 8), get_target("uniform", "density")  # tau = 3
     match = (rf"\(j, k\) = \({bad[0]}, {bad[1]}\) needs tau <= j and 0 <= k < 2\^j; "
@@ -270,8 +271,10 @@ def test_checks_validate_levels_before_sampling(monkeypatch, levels, bad):
     (lambda f, t: evaluate.check_levels(f, ()), r"levels: need at least one wavelet index \(j, k\)"),
     (lambda f, t: check_moment(f, t, [(2, 0)], (256, 8, 4096), 10),
      "n must be at least 16, got 8"),
+    (lambda f, t: check_moment(f, t, [(2, 0), (3, 1)], (1024, 4096), 2000),
+     r"need at least three sample sizes, all distinct, got \(1024, 4096\)"),
 ], ids=["no-a", "negative-a", "nan-a", "inf-a", "deviation-small-n", "no-levels",
-        "check-levels-empty", "moment-small-n"])
+        "check-levels-empty", "moment-small-n", "moment-two-sizes"])
 def test_checks_reject_bad_inputs_before_the_truth_analysis(monkeypatch, haar, check, match):
     def no_work(*args):
         raise AssertionError("a check ran before validating its inputs")

@@ -387,7 +387,7 @@ U_GRID = (0.1, 0.5, 1.0, 2.0)
 @pytest.mark.parametrize("rule,u_grid,step,failing_row", [
     # the certified defaults pass
     *[(rule, U_GRID, 0.05, None) for rule in RULES],
-    # grid sizes 668 and 287: no multiple of the 16-row tile or the 512-row block
+    # grid sizes 668 and 287: no multiple of the 64-row tile or the 512-row block
     (RULES[0], U_GRID, 0.03, None),
     (RULES[2], U_GRID, 0.07, None),
     # first block (the golden `check ongle --c1 0.5` failure), then a later block
@@ -420,9 +420,10 @@ def test_tiled_scan_reports_as_the_block_scan_property(kind, c1, c2, step):
     assert verify_ongle(rule, U_GRID, step, 10.0) == _block_verify_ongle(rule, U_GRID, step, 10.0)
 
 
-# witnesses in the band |x - y| < u/2, where the column bound counts no c1 |x - y|^2 term:
-# y outside the witness's tile (rows 23, 518), on the band edge at a tile's first row (912),
-# and rows past 900
+# witnesses in the band |x - y| < u/2, where the column bound counts no c1 |x - y|^2 term.
+# With 64-row tiles: y outside the witness's tile (rows 518, 727), the first row of a tile with
+# y in the tile before (128), the last row of a tile (127), and |x - y| one rounding below the
+# band edge u/2 in rows past 900
 @pytest.mark.parametrize("rule,u_grid,step,failing_row", [
     (ThresholdRule("soft", 1.5, 1.0), (1.0,), 0.01, 23),
     (ThresholdRule("garrote", 2.0, 0.5), (1.0,), 0.01, 518),
@@ -430,6 +431,9 @@ def test_tiled_scan_reports_as_the_block_scan_property(kind, c1, c2, step):
     (ThresholdRule("garrote", 3.0, 0.5), U_GRID, 0.01, 973),
     (ThresholdRule("hard", 6.0, 0.5), U_GRID, 0.01, 991),
     (ThresholdRule("hard", 2.0, 1.0), U_GRID, 0.01, 1010),
+    (ThresholdRule("garrote", 3.0, 0.5), (1.0,), 0.01, 727),
+    (ThresholdRule("garrote", 2.0, 1.0), (1.0,), 0.07, 128),
+    (ThresholdRule("garrote", 3.0, 0.5), (0.5,), 0.07, 127),
 ])
 def test_column_bound_keeps_witnesses_in_the_band(rule, u_grid, step, failing_row):
     report = verify_ongle(rule, u_grid, step, 10.0)
