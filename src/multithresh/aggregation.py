@@ -199,14 +199,10 @@ def multi_threshold_candidates(
     raw = _model_coeffs(train, family, j1, loss)
 
     u_grid = candidate_grid(n, j1)
-    # one row per candidate, synthesized once as a stack at the learning points: a Haar stack
-    # takes each point's cell from its pyramid, a Daubechies one runs one stencil per level
+    # one row per candidate, synthesized as one stack at the learning points and on the grid
     stack = threshold_expansion(raw, make_plan(rho, u_grid, family.tau, j1, m), rule)
     learn_values = _clipped_values(family, stack, learn.x, loss)
-    # the grid goes one row at a time: a row's values stay in cache, the whole stack's do not
-    grid = midpoint_grid(loss.grid_size)
-    rows = (WaveletExpansion(stack.tau, row) for row in stack.coeffs)
-    grid_rows = [_clipped_values(family, row, grid, loss) for row in rows]
+    grid_rows = list(_clipped_values(family, stack, midpoint_grid(loss.grid_size), loss))
     risks = empirical_risks(loss, grid_rows, learn_values, learn)
 
     weights = aew_weights(risks, l)

@@ -56,6 +56,14 @@ def rate_slope(ns, mean_risks) -> tuple[float, float]:
 # Monte Carlo engine
 # ---------------------------------------------------------------------------
 
+def _check_runs(reps: int, root_seed: int) -> None:
+    """Require at least one replication and a seed that ``derive_rng`` takes."""
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
+    if not root_seed >= 0:  # written positively so that NaN fails it too
+        raise ValueError(f"root_seed must be a non-negative integer, got {root_seed}")
+
+
 @dataclass(frozen=True)
 class MonteCarloConfig:
     """Everything one experiment needs; fully determines its output."""
@@ -82,8 +90,7 @@ class MonteCarloConfig:
             check_noise(target, self.noise)
         if self.rho is not None:
             check_rho(self.rho)
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
+        _check_runs(self.reps, self.root_seed)
         if not 0.0 < self.universal_c < math.inf:
             raise ValueError(f"universal_c must be positive and finite, got {self.universal_c}")
         if not self.ns or len(set(self.ns)) != len(self.ns):
@@ -252,8 +259,7 @@ def check_moment(
     quadrature analysis (exact for Haar on a resolving grid). Passes when
     the fitted slope sits in [-2.3, -1.7].
     """
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
+    _check_runs(reps, root_seed)
     if not 3 <= len(set(ns)) == len(ns):
         raise ValueError(f"n: need at least three sample sizes, all distinct, got {tuple(ns)}")
     levels = [(int(j), int(k)) for j, k in levels]
@@ -316,8 +322,7 @@ def check_deviation(
     a_values = np.asarray(a_values, dtype=float)
     if not a_values.size or not np.all((a_values >= 0.0) & (a_values < math.inf)):
         raise ValueError(f"a: need finite deviation sizes >= 0, got {tuple(a_values.tolist())}")
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
+    _check_runs(reps, root_seed)
     beta_true, = _true_coeffs(family, target, [level], [n], truth_grid)
     streams = [(root_seed, rep) for rep in range(reps)]
     beta_hat = _empirical_coeffs(family, target, [level], n, streams)[:, 0]

@@ -44,11 +44,9 @@ class ThresholdRule:
     def __post_init__(self) -> None:
         if self.kind not in RULE_KINDS:
             raise ValueError(f"unknown rule {self.kind!r}; expected one of {RULE_KINDS}")
-        default_c1, default_c2 = _DEFAULT_CONSTANTS
-        if self.c1 is None:
-            object.__setattr__(self, "c1", default_c1)
-        if self.c2 is None:
-            object.__setattr__(self, "c2", default_c2)
+        for name, default in zip(("c1", "c2"), _DEFAULT_CONSTANTS):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
         if not (0.0 <= self.c1 < math.inf and 0.0 <= self.c2 < math.inf):
             raise ValueError(f"need finite c1, c2 >= 0, got c1={self.c1}, c2={self.c2}")
 
@@ -74,9 +72,7 @@ def apply_rule(rule: ThresholdRule, u, x):
     else:
         shrink = np.divide(u * u, x_arr, out=np.zeros(active.shape), where=active)
         out = np.where(active, x_arr - shrink, 0.0)
-    if np.isscalar(x) or x_arr.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if x_arr.ndim == 0 else out
 
 
 def check_rho(rho: float) -> None:
@@ -151,6 +147,7 @@ _TILE_ROWS = 64
 _REPORT_ROWS = 512  # a failure's points_checked counts through the end of its 512-row block
 
 
+@np.errstate(over="ignore")  # a huge c1 overflows a right side to inf, which passes
 def verify_ongle(
     rule: ThresholdRule,
     u_grid,

@@ -65,9 +65,12 @@ _FILTERS: dict[str, tuple[float, ...]] = {
 SUPPORTED_FAMILIES = tuple(_FILTERS)
 
 
+@functools.lru_cache(maxsize=8)
 def midpoint_grid(size: int) -> np.ndarray:
-    """Midpoint quadrature nodes (i + 1/2)/size on [0, 1]."""
-    return (np.arange(size) + 0.5) / size
+    """Midpoint quadrature nodes (i + 1/2)/size on [0, 1], one shared read-only array per size."""
+    grid = (np.arange(size) + 0.5) / size
+    grid.flags.writeable = False
+    return grid
 
 
 @dataclass(frozen=True)
@@ -275,19 +278,12 @@ def _grid_table(family: WaveletFamily, kind: str, j: int, size: int) -> np.ndarr
     return table
 
 
-@functools.lru_cache(maxsize=8)
-def _readonly_grid(size: int) -> np.ndarray:
-    grid = midpoint_grid(size)
-    grid.flags.writeable = False
-    return grid
-
-
 def _dyadic_grid_size(x: np.ndarray) -> int | None:
     """N when x is midpoint_grid(N) for a power of two N >= 2, else None."""
     size = x.size
     if x.ndim != 1 or size < 2 or size & (size - 1) or x[0] != 0.5 / size:
         return None
-    return size if np.array_equal(x, _readonly_grid(size)) else None
+    return size if np.array_equal(x, midpoint_grid(size)) else None
 
 
 def _level_synth(
@@ -331,10 +327,11 @@ def _synthesize(family: WaveletFamily, levels, x: np.ndarray, top: int) -> np.nd
     """Sum over ``levels``, (kind, j, coeffs) with j < top, of sum_k coeffs[..., k] basis_{j,k}(x).
 
     Returns a new ``rows + x.shape`` array. A Haar sum lies in V_top, constant on its
-    cells: Mallat's inverse pyramid builds them, then they are repeated onto a midpoint
-    grid of at least as many points, or taken at each point's masked cell anywhere else.
-    A Daubechies sum gathers the levels coarser than a midpoint grid from its tables,
-    and the rest through the stencil at the finite points x.
+    cells: one inverse pyramid (Mallat) builds them for all rows, repeated onto a midpoint
+    grid of at least as many points or taken at each point's masked cell anywhere else.
+    A Daubechies sum gathers the levels coarser than a midpoint grid from its tables, a
+    stack row by row into one block so that each row's table products stay in cache, and
+    the rest through the stencil at the finite points x, once per level for all rows.
     """
     if x.ndim == 0:
         return _synthesize(family, levels, x.reshape(1), top).reshape(levels[0][2].shape[:-1])
@@ -359,6 +356,11 @@ def _synthesize(family: WaveletFamily, levels, x: np.ndarray, top: int) -> np.nd
         pos &= width - 1  # in place: a second index array costs page faults on large x
         # np.take keeps a stack C-ordered, where cells[..., idx] would not
         return np.take(cells, pos, axis=-1)
+    if size is not None and levels[0][2].ndim > 1:
+        out = np.empty(levels[0][2].shape[:-1] + (size,))
+        for r in range(len(out)):
+            out[r] = _synthesize(family, [(kind, j, c[r]) for kind, j, c in levels], x, top)
+        return out
     points = None if size is not None and 1 << top <= size else _stencil_points(x, top)
     (kind, j, coeffs), *finer = levels
     out = _level_synth(family, kind, j, coeffs, size, points)
@@ -372,11 +374,10 @@ def synthesize_at(
 ) -> np.ndarray:
     """Evaluate the wavelet series at arbitrary (unsorted) finite points.
 
-    Returns a new ``rows + x.shape`` array, 0-d for a scalar x: a stack of
-    series gives one row per series, and each level's stencil at x is computed
-    once for all rows, with the same arithmetic per row as the synthesis of
-    that row alone. Grid tables and Haar cells (see ``_synthesize``, top =
-    max(tau, j_max) + 1) give bit for bit the values of the stencil at the points.
+    Returns a new ``rows + x.shape`` array, 0-d for a scalar x: one row per series of
+    a stack, with that row's own arithmetic, whether it shares a pass with the others
+    or goes alone (a Daubechies stack on a midpoint grid; see ``_synthesize``, top =
+    max(tau, j_max) + 1). Grid tables and Haar cells give the stencil's bits.
     """
     levels = [("scaling", expansion.tau, expansion.alpha),
               *(("wavelet", j, c) for j, c in zip(expansion.levels(), expansion.beta))]

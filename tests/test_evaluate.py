@@ -112,6 +112,8 @@ def test_monte_carlo_config_validation():
     # a repeated size would rerun the same streams and duplicate its rows
     with pytest.raises(ValueError, match="distinct"):
         MonteCarloConfig(model="density", target="uniform", ns=(64, 64, 128), reps=1)
+    with pytest.raises(ValueError, match="root_seed must be a non-negative integer, got -1"):
+        MonteCarloConfig(model="density", target="uniform", ns=(62,), reps=1, root_seed=-1)
     for c in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="universal_c"):
             MonteCarloConfig(model="density", target="uniform", ns=(62,), reps=1,
@@ -273,8 +275,13 @@ def test_checks_validate_levels_before_sampling(monkeypatch, levels, bad):
      "n must be at least 16, got 8"),
     (lambda f, t: check_moment(f, t, [(2, 0), (3, 1)], (1024, 4096), 2000),
      r"need at least three sample sizes, all distinct, got \(1024, 4096\)"),
+    (lambda f, t: check_moment(f, t, [(2, 0)], (256, 1024, 4096), 10, root_seed=-1),
+     "root_seed must be a non-negative integer, got -1"),
+    (lambda f, t: check_deviation(f, t, 2.0, (1.0,), 128, 10, root_seed=-1),
+     "root_seed must be a non-negative integer, got -1"),
 ], ids=["no-a", "negative-a", "nan-a", "inf-a", "deviation-small-n", "no-levels",
-        "check-levels-empty", "moment-small-n", "moment-two-sizes"])
+        "check-levels-empty", "moment-small-n", "moment-two-sizes", "moment-negative-seed",
+        "deviation-negative-seed"])
 def test_checks_reject_bad_inputs_before_the_truth_analysis(monkeypatch, haar, check, match):
     def no_work(*args):
         raise AssertionError("a check ran before validating its inputs")

@@ -453,6 +453,18 @@ def test_column_bound_clears_no_failing_pair(u_grid, kind, c1, c2, step):
     assert verify_ongle(rule, u_grid, step, 10.0) == _block_verify_ongle(rule, u_grid, step, 10.0)
 
 
+@pytest.mark.parametrize("rule", [ThresholdRule("hard", 1e307), ThresholdRule("hard", 1e307, 0.0)],
+                         ids=["default-c2", "c2-zero"])
+def test_huge_c1_overflows_without_a_warning(rule):
+    # c1 |x - y|^2 (and with c2 > 0 its sum with the min term) overflows to inf, which passes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = verify_ongle(rule, U_GRID, 0.01, 10.0)
+    with np.errstate(over="ignore"):
+        assert report == _block_verify_ongle(rule, U_GRID, 0.01, 10.0)
+    assert report.passed == (rule.c2 > 0.0)
+
+
 def test_verify_ongle_working_set_stays_in_cache():
     # the 512-row block scan held about 33 MB of work arrays on this grid
     tracemalloc.start()

@@ -1,6 +1,7 @@
 """Wavelet family construction, periodized evaluation, norms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -560,6 +561,28 @@ def test_stack_synthesis_matches_per_row_synthesis(name):
             assert values.shape == (len(es),) + x.shape and values.flags.c_contiguous
             for e, got in zip(es, values):
                 assert same_bits(got, synthesize_at(family, e, x))
+
+
+def test_daubechies_stack_on_the_grid_peaks_below_one_and_a_half_outputs():
+    # the stack goes row by row into its block; as one block it peaked at 3.5x its output
+    family = build_family("Daubechies8")
+    stack = WaveletExpansion(family.tau, np.random.default_rng(3).standard_normal((14, 2 ** 14)))
+    grid = midpoint_grid(2 ** 14)
+    synthesize_at(family, stack, grid)  # builds the family's grid tables once
+    tracemalloc.start()
+    try:
+        values = synthesize_at(family, stack, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * values.nbytes
+
+
+def test_midpoint_grid_is_one_shared_read_only_array():
+    grid = midpoint_grid(2 ** 10)
+    assert midpoint_grid(2 ** 10) is grid
+    with pytest.raises(ValueError, match="read-only"):
+        grid[0] = 0.0
 
 
 @pytest.mark.parametrize("size", [2 ** 10, 2 ** 14, 1000])
