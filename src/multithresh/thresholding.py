@@ -191,7 +191,7 @@ def verify_ongle(
             rhs = np.where(np.abs(diff) >= u / 2.0, diff * rule.c1 * diff, 0.0) + min_term[keep]
             fail = lhs > rhs * (1.0 + 1e-12)
             if fail.any():
-                i, k = np.argwhere(fail)[0]
+                i, k = map(int, np.argwhere(fail)[0])  # Python ints, as the passing count
                 row = start + i
                 rows_checked = min((row // _REPORT_ROWS + 1) * _REPORT_ROWS, n)
                 witness = (float(xs[row]), float(xs[keep[k]]), float(u), float(lhs[i, k]),

@@ -7,9 +7,10 @@ of the finest level, and analysis with unit or 0/1 weights pairs histogram bins.
 Otherwise one point stencil (``_stencil``) serves synthesis at points, its adjoint,
 analysis of a weighted point set (the empirical coefficients and the quadrature
 analysis of known functions) into one block ``[alpha | beta_tau | ... | beta_jmax]``,
-and the Daubechies grid tables cached on the family, from which synthesis on a
-midpoint grid of power-of-two size gathers the levels coarser than the grid. A
-basis function (``eval_periodized``) is the synthesis of a unit coefficient.
+and, at the first period of a midpoint grid of power-of-two size, the table of each
+level with which Daubechies synthesis on that grid is one small matrix product per
+row, built per call and within 1e-12 of the stencil. A basis function
+(``eval_periodized``) is the synthesis of a unit coefficient.
 
 Conventions:
   - the low-pass filter ``h`` sums to sqrt(2) and has unit l2 norm, so the
@@ -25,6 +26,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -81,8 +83,7 @@ class WaveletFamily:
     moments); it is documented, not numerically certified. ``psi_sup`` is a
     certified numerical upper bound on the sup norm of the mother wavelet
     (table maximum inflated by 1%, exact for Haar, whose cascade tables are
-    None). ``grid_tables`` caches the generator values of Daubechies grid
-    synthesis per (kind, level, grid size); a Haar family keeps it empty.
+    None). Synthesis and analysis leave a family as it was built.
     """
 
     name: str
@@ -94,8 +95,6 @@ class WaveletFamily:
     cascade_depth: int
     phi_table: np.ndarray | None = field(repr=False)
     psi_table: np.ndarray | None = field(repr=False)
-    grid_tables: dict[tuple[str, int, int], np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def is_haar(self) -> bool:
@@ -233,8 +232,8 @@ def _stencil(family: WaveletFamily, kind: str, j: int, y: np.ndarray, pos: np.nd
              top: int):
     """Yield (shift indices, new generator values) of the support_width level-j translates at y.
 
-    ``y`` is x mod 1 and ``pos`` = floor(2^top y), top > j (top >= j for the
-    scaling kind). Scaling by 2^top is exact, so the shift base is
+    ``y`` is x mod 1 and ``pos`` = floor(2^top y), top >= j (top > j for the Haar
+    wavelet). Scaling by 2^top is exact, so the shift base is
     pos >> (top - j), and the Haar wavelet's sign is bit top - j - 1 of pos.
     The indices are masked: np.mod rounds a tiny negative x to 1.0.
     """
@@ -257,27 +256,6 @@ def _stencil_points(x: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, in
     return y, np.floor(y * (1 << top)).astype(np.int64), top
 
 
-def _grid_table(family: WaveletFamily, kind: str, j: int, size: int) -> np.ndarray:
-    """Generator values T[m, p] = g((p + 1/2) / P + m), P = size / 2^j, for m < support_width.
-
-    Point i = k P + p of the midpoint grid of ``size`` points has shift base
-    k and fractional position (p + 1/2) / P at level j, so the table is the
-    stencil at the first period, where pos = p. Cached on the family: per
-    grid size the tables of the scaling level and of all wavelet levels with
-    2^j < size hold fewer than 3 * support_width * size / 2^tau <= 3 * size floats.
-    Daubechies only: Haar synthesis runs the pyramid on its cells.
-    """
-    key = (kind, j, size)
-    table = family.grid_tables.get(key)
-    if table is None:
-        pos = np.arange(size >> j)
-        table = np.array([vals for _, vals in _stencil(
-            family, kind, j, (pos + 0.5) / size, pos, size.bit_length() - 1)])
-        table.flags.writeable = False
-        family.grid_tables[key] = table
-    return table
-
-
 def _dyadic_grid_size(x: np.ndarray) -> int | None:
     """N when x is midpoint_grid(N) for a power of two N >= 2, else None."""
     size = x.size
@@ -286,39 +264,14 @@ def _dyadic_grid_size(x: np.ndarray) -> int | None:
     return size if np.array_equal(x, midpoint_grid(size)) else None
 
 
-def _level_synth(
-    family: WaveletFamily, kind: str, j: int, coeffs: np.ndarray,
-    grid_size: int | None, points: tuple | None,
-) -> np.ndarray:
-    """Sum_k coeffs[..., k] * basis_{j,k}(x) for each row of coeffs, vectorized over x.
-
-    ``points`` = (x mod 1, pos, top) feeds ``_stencil``. ``grid_size`` asks for x =
-    midpoint_grid(grid_size); levels coarser than that grid gather from its table
-    instead, with the same products and sums, so the values are bit for bit the same.
-    """
-    two_j = 1 << j
-    rows = coeffs.shape[:-1]
-    if grid_size is not None and two_j < grid_size:
-        period, w = grid_size >> j, family.support_width
-        # ext[..., w - 1 - m + k] = coeffs[..., (k - m) mod 2^j], the shift the stencil gathers
-        ext = np.concatenate((coeffs[..., two_j - w + 1:], coeffs), axis=-1)
-        table = _grid_table(family, kind, j, grid_size)
-        # lay out (shift base, position) with the longer axis innermost, where numpy is fast
-        if period >= two_j:
-            out = np.zeros(rows + (two_j, period))
-            for m, vals in enumerate(table):
-                out += ext[..., w - 1 - m:w - 1 - m + two_j, None] * vals
-        else:
-            out = np.zeros(rows + (period, two_j))
-            for m, vals in enumerate(table):
-                out += vals[:, None] * ext[..., None, w - 1 - m:w - 1 - m + two_j]
-            out = out.swapaxes(-1, -2)
-        out = out.reshape(rows + (grid_size,))
-    else:
-        out = np.zeros(rows + points[0].shape)
-        for idx, vals in _stencil(family, kind, j, *points):
-            out += coeffs[..., idx] * vals
-            del idx, vals  # free this step's arrays before the stencil makes the next
+def _level_synth(family: WaveletFamily, kind: str, j: int, coeffs: np.ndarray,
+                 points: tuple) -> np.ndarray:
+    """Sum_k coeffs[..., k] * basis_{j,k}(x) for each row of coeffs, through the stencil at
+    ``points`` = (x mod 1, pos, top)."""
+    out = np.zeros(coeffs.shape[:-1] + points[0].shape)
+    for idx, vals in _stencil(family, kind, j, *points):
+        out += coeffs[..., idx] * vals
+        del idx, vals  # free this step's arrays before the stencil makes the next
     out *= 2.0 ** (j / 2.0)
     return out
 
@@ -326,12 +279,13 @@ def _level_synth(
 def _synthesize(family: WaveletFamily, levels, x: np.ndarray, top: int) -> np.ndarray:
     """Sum over ``levels``, (kind, j, coeffs) with j < top, of sum_k coeffs[..., k] basis_{j,k}(x).
 
-    Returns a new ``rows + x.shape`` array. A Haar sum lies in V_top, constant on its
-    cells: one inverse pyramid (Mallat) builds them for all rows, repeated onto a midpoint
-    grid of at least as many points or taken at each point's masked cell anywhere else.
-    A Daubechies sum gathers the levels coarser than a midpoint grid from its tables, a
-    stack row by row into one block so that each row's table products stay in cache, and
-    the rest through the stencil at the finite points x, once per level for all rows.
+    Returns a new ``rows + x.shape`` array; levels run coarsest first. A Haar sum lies in
+    V_top, constant on its cells: one inverse pyramid (Mallat) builds them for all rows,
+    kept or repeated on a midpoint grid of at least as many points and taken at each
+    point's masked cell anywhere else. A Daubechies sum on a midpoint grid of N >= 2^j
+    points for every level is, per level and row, one small product of the shifted
+    coefficients with the level's generator table, within 1e-12 of the stencil; at any
+    other points each level goes through the stencil, once for all rows.
     """
     if x.ndim == 0:
         return _synthesize(family, levels, x.reshape(1), top).reshape(levels[0][2].shape[:-1])
@@ -350,22 +304,34 @@ def _synthesize(family: WaveletFamily, levels, x: np.ndarray, top: int) -> np.nd
             if kind == "wavelet":
                 np.subtract(left, step, out=cells[..., width >> (j + 1)::width >> j])
             left += step
+            del step  # freed before the next level's, twice its size
         if size is not None and size >= width:
-            return np.repeat(cells, size // width, axis=-1)
+            return cells if size == width else np.repeat(cells, size // width, axis=-1)
         pos = _stencil_points(x, width.bit_length() - 1)[1]
         pos &= width - 1  # in place: a second index array costs page faults on large x
         # np.take keeps a stack C-ordered, where cells[..., idx] would not
         return np.take(cells, pos, axis=-1)
-    if size is not None and levels[0][2].ndim > 1:
-        out = np.empty(levels[0][2].shape[:-1] + (size,))
-        for r in range(len(out)):
-            out[r] = _synthesize(family, [(kind, j, c[r]) for kind, j, c in levels], x, top)
+    if size is not None and 1 << levels[-1][1] <= size:
+        out = np.zeros(levels[0][2].shape[:-1] + (size,))
+        w = family.support_width
+        for kind, j, coeffs in levels:
+            # point k P + p, P = size / 2^j, sits at (p + 1/2) / P + m in translate k - m: the
+            # table T[m, p] is the stencil at the first period, and window k of ext reversed
+            # holds coeffs[(k - m) mod 2^j]
+            pos = np.arange(size >> j)
+            table = np.array([vals for _, vals in _stencil(
+                family, kind, j, (pos + 0.5) / size, pos, size.bit_length() - 1)])
+            table *= 2.0 ** (j / 2.0)
+            # row by row, so that the temporaries stay a row's size
+            for row, c in zip(out.reshape(-1, size), coeffs.reshape(-1, 1 << j)):
+                ext = np.concatenate((c[(1 << j) - w + 1:], c))
+                row += (sliding_window_view(ext, w)[:, ::-1] @ table).reshape(size)
         return out
-    points = None if size is not None and 1 << top <= size else _stencil_points(x, top)
+    points = _stencil_points(x, top)
     (kind, j, coeffs), *finer = levels
-    out = _level_synth(family, kind, j, coeffs, size, points)
+    out = _level_synth(family, kind, j, coeffs, points)
     for kind, j, coeffs in finer:
-        out += _level_synth(family, kind, j, coeffs, size, points)
+        out += _level_synth(family, kind, j, coeffs, points)
     return out
 
 
@@ -376,8 +342,8 @@ def synthesize_at(
 
     Returns a new ``rows + x.shape`` array, 0-d for a scalar x: one row per series of
     a stack, with that row's own arithmetic, whether it shares a pass with the others
-    or goes alone (a Daubechies stack on a midpoint grid; see ``_synthesize``, top =
-    max(tau, j_max) + 1). Grid tables and Haar cells give the stencil's bits.
+    or goes alone (see ``_synthesize``, top = max(tau, j_max) + 1). Haar cells give the
+    stencil's bits, and so does Daubechies synthesis anywhere but on a midpoint grid.
     """
     levels = [("scaling", expansion.tau, expansion.alpha),
               *(("wavelet", j, c) for j, c in zip(expansion.levels(), expansion.beta))]

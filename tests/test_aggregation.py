@@ -331,16 +331,20 @@ def test_learning_points_share_one_stencil(name, model):
     assert np.array_equal(risks.view(np.int64), diag.risks.view(np.int64))
 
 
+def family_fields(family):
+    """The family's fields, arrays as bytes."""
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in vars(family).items()}
+
+
 def test_candidates_keep_only_the_grid_tables_they_need():
-    # after the call a Daubechies family holds the tables of the grid levels it
-    # synthesized, a Haar family (pyramid on its cells) holds none, and nothing
-    # else is left: no learning-point stencil and no thresholded stack, only
-    # each candidate's grid values
+    # the grid tables live only inside the synthesis call: after the call nothing is left
+    # but each candidate's grid values, with no learning-point stencil, no thresholded stack
+    # and no table, and the family is as it was built
     sample = sample_density(get_target("triangle", "density"), 2 ** 15, 8)
-    sizes = (2 ** 8, 2 ** 12)
     for name in ("Haar", "Daubechies4"):
         family = build_family(name, 12)
-        for size in sizes:
+        state = family_fields(family)
+        for size in (2 ** 8, 2 ** 12):
             gc.collect()
             tracemalloc.start()
             try:
@@ -351,21 +355,13 @@ def test_candidates_keep_only_the_grid_tables_they_need():
                 retained = tracemalloc.get_traced_memory()[0] - before
             finally:
                 tracemalloc.stop()
-            held = sum(row.nbytes for row in grid_rows)
-            tables = [t for (_, _, n), t in family.grid_tables.items() if n == size]
-            held += sum(t.nbytes for t in tables)
             # a learning-point stencil kept for all levels (int32 shift bases and
             # float values) would exceed the 64 KiB allowed for Python objects
             levels = diag.j1 - family.tau + 2
             stencil = levels * diag.l * (4 + 8 * family.support_width)
             assert stencil > 2 ** 19
-            assert retained < held + 2 ** 16
-            assert sum(t.size for t in tables) < 3 * size
-        assert set(family.grid_tables) == (set() if family.is_haar else {
-            (kind, j, size) for size in sizes for kind, j in
-            [("scaling", family.tau)] + [("wavelet", j) for j in range(family.tau, diag.j1 + 1)]
-            if 2 ** j < size
-        })
+            assert retained < sum(row.nbytes for row in grid_rows) + 2 ** 16
+        assert family_fields(family) == state
 
 
 def test_pipeline_erm_scheme_returns_candidate(haar):

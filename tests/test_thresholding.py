@@ -411,6 +411,15 @@ def test_tiled_scan_reports_as_the_block_scan(rule, u_grid, step, failing_row):
         assert report.witness[0] == np.arange(-10.0, 10.0 + step / 2.0, step)[failing_row]
 
 
+def test_points_checked_is_an_int_whatever_the_verdict():
+    # the golden `check ongle --rule hard --c1 0.5` failure, and a passing default
+    failing = verify_ongle(ThresholdRule("hard", 0.5, 2.0), U_GRID, 0.01, 10.0)
+    passing = verify_ongle(ThresholdRule("hard"), U_GRID, 0.05, 10.0)
+    assert not failing.passed and failing.points_checked == 1024512
+    assert passing.passed
+    assert type(failing.points_checked) is int and type(passing.points_checked) is int
+
+
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["hard", "soft", "garrote"]),
        c1=st.floats(0.0, 10.0), c2=st.floats(0.0, 3.0),

@@ -578,6 +578,22 @@ def test_daubechies_stack_on_the_grid_peaks_below_one_and_a_half_outputs():
     assert peak < 1.5 * values.nbytes
 
 
+def test_haar_stack_on_a_grid_of_its_cells_peaks_at_one_and_a_half_outputs():
+    # with as many grid points as finest cells the cells are the values, with no copy; the
+    # rest is the finest level's scaled coefficients, half an output, and Python objects
+    haar = build_family("Haar")
+    stack = WaveletExpansion(haar.tau, np.random.default_rng(5).standard_normal((14, 2 ** 14)))
+    grid = midpoint_grid(2 ** 14)
+    tracemalloc.start()
+    try:
+        values = synthesize_at(haar, stack, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (14, 2 ** 14)
+    assert peak < 1.5 * values.nbytes + 2 ** 16
+
+
 def test_midpoint_grid_is_one_shared_read_only_array():
     grid = midpoint_grid(2 ** 10)
     assert midpoint_grid(2 ** 10) is grid
@@ -585,44 +601,48 @@ def test_midpoint_grid_is_one_shared_read_only_array():
         grid[0] = 0.0
 
 
+def family_state(family):
+    """The family's fields, arrays as bytes."""
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in vars(family).items()}
+
+
 @pytest.mark.parametrize("size", [2 ** 10, 2 ** 14, 1000])
 @pytest.mark.parametrize("name", SUPPORTED_FAMILIES)
 def test_grid_tables_match_pointwise_stencil(name, size):
-    # Daubechies: j_max below log2 N uses tables on every level; j_max at or above
-    # it leaves the levels with 2^j >= N to the stencil; N = 1000 uses no table.
-    # A Haar-filter family runs the pyramid on its cells and tables nothing.
+    # Daubechies on a midpoint grid of N = 2^p points: j_max = tau + 3 and j_max = p, whose
+    # finest level has period 1, take one product per level, within 1e-12; j_max = p + 1
+    # leaves a level finer than the grid, so every level takes the stencil, bit for bit, as
+    # at N = 1000 and on a grid with one point moved. A Haar-filter family runs the pyramid
+    # on its cells, bit for bit. Synthesis leaves the family as it was built.
     family = build_family(name, 12)
+    state = family_state(family)
     rng = np.random.default_rng(size)
     grid = midpoint_grid(size)
-    for j_max in (family.tau + 3, math.ceil(math.log2(size))):
+    p = math.ceil(math.log2(size))
+    for j_max in (family.tau + 3, p, p + 1):
         e = random_expansion(rng, family.tau, j_max)
         fast, ref = synthesize_at(family, e, grid), ref_synth(family, [e], grid)[0]
-        if family.is_haar:
-            assert np.array_equal(fast, ref)
+        if family.is_haar or size & (size - 1) or j_max > p:
+            assert same_bits(fast, ref), j_max
         else:
             np.testing.assert_allclose(fast, ref, rtol=0, atol=1e-12)
-        # a grid with one point moved is not the midpoint grid: no table applies
+        # a grid with one point moved is not the midpoint grid: the stencil applies
         moved = grid.copy()
         moved[-1] = 1.0 - 0.25 / size
         assert same_bits(synthesize_at(family, e, moved), ref_synth(family, [e], moved)[0])
-    tabled = {j for kind, j, n in family.grid_tables if n == size}
-    if family.is_haar:
-        assert not family.grid_tables
-    elif size & (size - 1):
-        assert not tabled
-    else:
-        assert tabled == {j for j in range(family.tau, j_max + 1) if 2 ** j < size}
+    assert family_state(family) == state
 
 
 @pytest.mark.parametrize("size", [2, 16, 2 ** 10, 2 ** 14])
 def test_haar_grid_synthesis_repeats_its_cells_bit_for_bit(size):
     # a Haar series is constant on the cells of its finest level: the inverse pyramid builds
     # them, a grid at least as fine repeats them, and a coarser grid takes each point's cell;
-    # no grid table is made either way
+    # the family stays as it was built either way
     rng = np.random.default_rng(size)
     grid = midpoint_grid(size)
     for j_max in range(FAMILIES["Haar"].tau - 1, 14):
         haar = build_family("Haar")
+        state = family_state(haar)
         es = [random_expansion(rng, haar.tau, j_max) for _ in range(3)]
         es[1].alpha[:] = -0.0
         for row in es[1].beta:
@@ -631,7 +651,7 @@ def test_haar_grid_synthesis_repeats_its_cells_bit_for_bit(size):
         assert same_bits(synthesize_at(haar, stack_of(es), grid), want), (j_max, size)
         first = synthesize_at(haar, es[0], grid)
         assert same_bits(first, want[0]), (j_max, size)
-        assert not haar.grid_tables
+        assert family_state(haar) == state
         # a fresh, writable array: the candidates are clipped in place
         first[:] = np.nan
         assert same_bits(synthesize_at(haar, es[0], grid), want[0])
