@@ -23,6 +23,7 @@ from .coefficients import (
     MIN_SAMPLE_SIZE,
     DensitySample,
     RegressionSample,
+    check_count,
     check_model_bound,
     density_coeffs,
     j1_level,
@@ -66,8 +67,7 @@ class LossSpec:
 
     def __post_init__(self) -> None:
         check_model_bound(self.model, self.B)
-        if self.grid_size < 2:
-            raise ValueError("grid_size must be at least 2")
+        check_count("grid_size", self.grid_size, 2)
 
 
 def empirical_risks(loss: LossSpec, grid_rows, learn_values: np.ndarray,

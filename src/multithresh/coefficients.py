@@ -12,6 +12,7 @@ shift constants.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,15 @@ from .wavelets import WaveletExpansion, WaveletFamily, analyze_points
 
 MIN_SAMPLE_SIZE = 16
 MODELS = ("density", "regression")
+
+
+def check_count(name: str, value, lo: int) -> int:
+    """``value``, an integer >= lo as the CLI's integer keys require: NaN, inf and 2.5 fail."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if not value >= lo:
+        raise ValueError(f"{name} must be at least {lo}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -79,8 +89,7 @@ def _dyadic_level(target: float) -> int:
 
 def j1_level(n: int) -> int:
     """The unique integer j1 with n/log n <= 2^j1 < 2 n/log n."""
-    if n < MIN_SAMPLE_SIZE:
-        raise ValueError(f"n must be at least {MIN_SAMPLE_SIZE}, got {n}")
+    check_count("n", n, MIN_SAMPLE_SIZE)
     return _dyadic_level(n / math.log(n))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,8 @@ from .aggregation import (
     split_sample,
     universal_threshold_estimate,
 )
-from .coefficients import (MIN_SAMPLE_SIZE, MODELS, DensitySample, loss_difference_bound,
-                           margin_constant, min_rho)
+from .coefficients import (MIN_SAMPLE_SIZE, MODELS, DensitySample, check_count,
+                           loss_difference_bound, margin_constant, min_rho)
 from .simulate import (TargetFunction, check_noise, derive_rng, get_target, sample_density,
                        sample_density_rows, sample_regression)
 from .thresholding import ThresholdRule, check_rho
@@ -58,9 +59,8 @@ def rate_slope(ns, mean_risks) -> tuple[float, float]:
 
 def _check_runs(reps: int, root_seed: int) -> None:
     """Require at least one replication and a seed that ``derive_rng`` takes."""
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
-    if not root_seed >= 0:  # written positively so that NaN fails it too
+    check_count("reps", reps, 1)
+    if not (isinstance(root_seed, numbers.Integral) and root_seed >= 0):
         raise ValueError(f"root_seed must be a non-negative integer, got {root_seed}")
 
 
@@ -96,6 +96,7 @@ class MonteCarloConfig:
         if not self.ns or len(set(self.ns)) != len(self.ns):
             raise ValueError(f"n: need at least one sample size, all distinct, got {self.ns}")
         for n in self.ns:
+            check_count("n", n, MIN_SAMPLE_SIZE)
             split_sample(n)
 
     @functools.cached_property
@@ -224,8 +225,8 @@ def _true_coeffs(family: WaveletFamily, target: TargetFunction, levels, ns,
     """True coefficient of the density target at each (j, k) in ``levels``, by quadrature."""
     if not target.is_density:
         raise ValueError("the coefficient checks run in the density model")
-    if min(ns) < MIN_SAMPLE_SIZE:
-        raise ValueError(f"n must be at least {MIN_SAMPLE_SIZE}, got {min(ns)}")
+    for n in ns:
+        check_count("n", n, MIN_SAMPLE_SIZE)
     check_levels(family, levels)
     truth = analyze(family, target, max(j for j, _ in levels), truth_grid)
     return [truth.coeffs[(1 << j) + k] for j, k in levels]

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import MIN_SAMPLE_SIZE, MODELS, DensitySample, RegressionSample
+from .coefficients import MIN_SAMPLE_SIZE, MODELS, DensitySample, RegressionSample, check_count
 from .wavelets import midpoint_grid
 
 AUDIT_GRID_SIZE = 2 ** 16
@@ -100,7 +100,9 @@ def sample_density(
     target: TargetFunction, n: int, seed: int | np.random.Generator
 ) -> DensitySample:
     """n i.i.d. draws from the target density: one row of ``sample_density_rows``."""
-    rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed)
+    check_count("n", n, MIN_SAMPLE_SIZE)  # before the stream is derived
+    rng = (seed if isinstance(seed, np.random.Generator)
+           else derive_rng(check_count("seed", seed, 0)))
     return DensitySample(sample_density_rows(target, n, [rng])[0])
 
 
@@ -112,8 +114,7 @@ def sample_density_rows(target: TargetFunction, n: int, rngs) -> np.ndarray:
     """
     if not target.is_density:
         raise ValueError(f"target {target.name!r} is not a density")
-    if n < MIN_SAMPLE_SIZE:
-        raise ValueError(f"n must be at least {MIN_SAMPLE_SIZE}, got {n}")
+    check_count("n", n, MIN_SAMPLE_SIZE)
     first = max(n, 64)
     draws = np.empty((len(rngs), 2 * first))
     for rng, row in zip(rngs, draws):
@@ -161,10 +162,10 @@ def sample_regression(
     seed: int | np.random.Generator,
 ) -> RegressionSample:
     """n pairs with uniform design and mean-zero bounded noise (see ``check_noise``)."""
-    if n < MIN_SAMPLE_SIZE:
-        raise ValueError(f"n must be at least {MIN_SAMPLE_SIZE}, got {n}")
+    check_count("n", n, MIN_SAMPLE_SIZE)
     check_noise(target, noise)
-    rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed)
+    rng = (seed if isinstance(seed, np.random.Generator)
+           else derive_rng(check_count("seed", seed, 0)))
     x = rng.uniform(size=n)
     mean = target(x)
     if noise == "bernoulli":

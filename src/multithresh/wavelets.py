@@ -1,16 +1,14 @@
 """Periodized orthonormal wavelet bases on [0, 1].
 
-Compactly supported father/mother pairs: Haar in closed form, with no tables,
-and the Daubechies family through dyadic cascade tables with linear
-interpolation. Haar runs Mallat's pyramid both ways: synthesis builds the cells
-of the finest level, and analysis with unit or 0/1 weights pairs histogram bins.
-Otherwise one point stencil (``_stencil``) serves synthesis at points, its adjoint,
-analysis of a weighted point set (the empirical coefficients and the quadrature
-analysis of known functions) into one block ``[alpha | beta_tau | ... | beta_jmax]``,
-and, at the first period of a midpoint grid of power-of-two size, the table of each
-level with which Daubechies synthesis on that grid is one small matrix product per
-row, built per call and within 1e-12 of the stencil. A basis function
-(``eval_periodized``) is the synthesis of a unit coefficient.
+Compactly supported father/mother pairs: Haar in closed form, with no tables, and the
+Daubechies family through dyadic cascade tables with linear interpolation. Haar runs
+Mallat's pyramid both ways: synthesis builds the cells of the finest level, and analysis
+with unit or 0/1 weights pairs histogram bins. Otherwise one point stencil (``_stencil``)
+serves synthesis at points, its adjoint, analysis of a weighted point set into one block
+``[alpha | beta_tau | ... | beta_jmax]``, and the per-level tables of Daubechies synthesis
+on a midpoint grid of power-of-two size: one small matrix product per level and row,
+within 1e-12 of the stencil. A basis function (``eval_periodized``) is the synthesis of a
+unit coefficient, and every synthesis takes its span from its finest level.
 
 Conventions:
   - the low-pass filter ``h`` sums to sqrt(2) and has unit l2 norm, so the
@@ -23,6 +21,7 @@ Conventions:
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,18 +78,15 @@ def midpoint_grid(size: int) -> np.ndarray:
 class WaveletFamily:
     """A compactly supported father/mother pair with its evaluation tables.
 
-    ``regularity`` is the nominal smoothness cap (number of vanishing
-    moments); it is documented, not numerically certified. ``psi_sup`` is a
-    certified numerical upper bound on the sup norm of the mother wavelet
-    (table maximum inflated by 1%, exact for Haar, whose cascade tables are
-    None). Synthesis and analysis leave a family as it was built.
+    ``psi_sup`` is a certified numerical upper bound on the sup norm of the mother
+    wavelet (table maximum inflated by 1%, exact for Haar, whose cascade tables are
+    None); the filter itself stays in ``_FILTERS``. Synthesis and analysis leave a
+    family as it was built.
     """
 
     name: str
-    lowpass: np.ndarray
     support_width: int
     tau: int
-    regularity: int
     psi_sup: float
     cascade_depth: int
     phi_table: np.ndarray | None = field(repr=False)
@@ -153,11 +149,10 @@ def build_family(name: str, cascade_depth: int = 12) -> WaveletFamily:
         raise ValueError(
             f"unsupported family {name!r}; expected one of {SUPPORTED_FAMILIES}"
         )
-    if not MIN_CASCADE_DEPTH <= cascade_depth <= MAX_CASCADE_DEPTH:
-        raise ValueError(
-            f"cascade_depth {cascade_depth} out of range "
-            f"[{MIN_CASCADE_DEPTH}, {MAX_CASCADE_DEPTH}]"
-        )
+    if not (isinstance(cascade_depth, numbers.Integral)
+            and MIN_CASCADE_DEPTH <= cascade_depth <= MAX_CASCADE_DEPTH):
+        raise ValueError(f"cascade_depth {cascade_depth} out of range: need an integer in "
+                         f"[{MIN_CASCADE_DEPTH}, {MAX_CASCADE_DEPTH}]")
     h = np.asarray(_FILTERS[name], dtype=float)
     support_width = len(h) - 1
     # Haar is evaluated in closed form: no tables, and sup |psi| is exactly 1
@@ -165,10 +160,8 @@ def build_family(name: str, cascade_depth: int = 12) -> WaveletFamily:
     psi_sup = 1.0 if psi_table is None else float(np.abs(psi_table).max()) * 1.01
     return WaveletFamily(
         name=name,
-        lowpass=h,
         support_width=support_width,
         tau=(support_width - 1).bit_length(),  # the least tau with 2^tau >= support_width
-        regularity=max(1, len(h) // 2),
         psi_sup=psi_sup,
         cascade_depth=cascade_depth,
         phi_table=phi_table,
@@ -232,10 +225,10 @@ def _stencil(family: WaveletFamily, kind: str, j: int, y: np.ndarray, pos: np.nd
              top: int):
     """Yield (shift indices, new generator values) of the support_width level-j translates at y.
 
-    ``y`` is x mod 1 and ``pos`` = floor(2^top y), top >= j (top > j for the Haar
+    ``y`` is x - floor(x) and ``pos`` = floor(2^top y), top >= j (top > j for the Haar
     wavelet). Scaling by 2^top is exact, so the shift base is
     pos >> (top - j), and the Haar wavelet's sign is bit top - j - 1 of pos.
-    The indices are masked: np.mod rounds a tiny negative x to 1.0.
+    The indices are masked: x - floor(x) rounds a tiny negative x to 1.0.
     """
     mask, base = (1 << j) - 1, pos >> (top - j)
     if family.is_haar:
@@ -249,10 +242,11 @@ def _stencil(family: WaveletFamily, kind: str, j: int, y: np.ndarray, pos: np.nd
 
 
 def _stencil_points(x: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The ``_stencil`` input (x mod 1, floor(2^top (x mod 1)), top) of finite points x."""
+    """The ``_stencil`` input (y, floor(2^top y), top) of finite x; y = x - floor(x) = x mod 1."""
     if not np.isfinite(x).all():
         raise ValueError("points must be finite")
-    y = np.mod(x, 1.0)
+    y = np.floor(x)
+    np.subtract(x, y, out=y)  # np.mod(x, 1.0)'s bits for finite x, with no second temporary
     return y, np.floor(y * (1 << top)).astype(np.int64), top
 
 
@@ -264,39 +258,29 @@ def _dyadic_grid_size(x: np.ndarray) -> int | None:
     return size if np.array_equal(x, midpoint_grid(size)) else None
 
 
-def _level_synth(family: WaveletFamily, kind: str, j: int, coeffs: np.ndarray,
-                 points: tuple) -> np.ndarray:
-    """Sum_k coeffs[..., k] * basis_{j,k}(x) for each row of coeffs, through the stencil at
-    ``points`` = (x mod 1, pos, top)."""
-    out = np.zeros(coeffs.shape[:-1] + points[0].shape)
-    for idx, vals in _stencil(family, kind, j, *points):
-        out += coeffs[..., idx] * vals
-        del idx, vals  # free this step's arrays before the stencil makes the next
-    out *= 2.0 ** (j / 2.0)
-    return out
+def _synthesize(family: WaveletFamily, levels, x: np.ndarray) -> np.ndarray:
+    """Sum over ``levels``, (kind, j, coeffs), of sum_k coeffs[..., k] basis_{j,k}(x).
 
-
-def _synthesize(family: WaveletFamily, levels, x: np.ndarray, top: int) -> np.ndarray:
-    """Sum over ``levels``, (kind, j, coeffs) with j < top, of sum_k coeffs[..., k] basis_{j,k}(x).
-
-    Returns a new ``rows + x.shape`` array; levels run coarsest first. A Haar sum lies in
-    V_top, constant on its cells: one inverse pyramid (Mallat) builds them for all rows,
-    kept or repeated on a midpoint grid of at least as many points and taken at each
-    point's masked cell anywhere else. A Daubechies sum on a midpoint grid of N >= 2^j
-    points for every level is, per level and row, one small product of the shifted
-    coefficients with the level's generator table, within 1e-12 of the stencil; at any
-    other points each level goes through the stencil, once for all rows.
+    Returns a new ``rows + x.shape`` array; levels run coarsest first. The sum lies in V_top,
+    top = j + 1 for a finest wavelet level j, j for a scaling sum alone. A Haar sum is
+    constant on its 2^top cells: one inverse pyramid (Mallat) builds them for all rows, kept
+    or repeated on a midpoint grid of at least as many points and taken at each point's
+    masked cell anywhere else. A Daubechies sum on a midpoint grid of N >= 2^j points for
+    every level is, per level and row, one small product of the shifted coefficients with
+    the level's generator table, within 1e-12 of the stencil; at any other points each level
+    goes through the stencil at the positions floor(2^top y), once for all rows.
     """
     if x.ndim == 0:
-        return _synthesize(family, levels, x.reshape(1), top).reshape(levels[0][2].shape[:-1])
+        return _synthesize(family, levels, x.reshape(1)).reshape(levels[0][2].shape[:-1])
+    kind, j, coeffs = levels[-1]
+    top = j + 1 if kind == "wavelet" else j
     size = _dyadic_grid_size(x)
     if family.is_haar:
         # one buffer of the finest cells; the partial sum after level j (levels run
         # consecutively) sits at stride width / 2^j, and each of its cells splits into left
         # + 2^(j/2) beta_j and right -: the stencil's terms per cell in its level order, the
         # first added to 0.0, so the same bits
-        kind, j, coeffs = levels[-1]
-        width = 1 << j if kind == "scaling" else 2 << j
+        width = 1 << top
         cells = np.zeros(coeffs.shape[:-1] + (width,))
         for kind, j, coeffs in levels:
             step = coeffs * 2.0 ** (j / 2.0)
@@ -307,12 +291,12 @@ def _synthesize(family: WaveletFamily, levels, x: np.ndarray, top: int) -> np.nd
             del step  # freed before the next level's, twice its size
         if size is not None and size >= width:
             return cells if size == width else np.repeat(cells, size // width, axis=-1)
-        pos = _stencil_points(x, width.bit_length() - 1)[1]
+        pos = _stencil_points(x, top)[1]
         pos &= width - 1  # in place: a second index array costs page faults on large x
         # np.take keeps a stack C-ordered, where cells[..., idx] would not
         return np.take(cells, pos, axis=-1)
-    if size is not None and 1 << levels[-1][1] <= size:
-        out = np.zeros(levels[0][2].shape[:-1] + (size,))
+    if size is not None and 1 << j <= size:
+        out = np.zeros(coeffs.shape[:-1] + (size,))
         w = family.support_width
         for kind, j, coeffs in levels:
             # point k P + p, P = size / 2^j, sits at (p + 1/2) / P + m in translate k - m: the
@@ -327,11 +311,16 @@ def _synthesize(family: WaveletFamily, levels, x: np.ndarray, top: int) -> np.nd
                 ext = np.concatenate((c[(1 << j) - w + 1:], c))
                 row += (sliding_window_view(ext, w)[:, ::-1] @ table).reshape(size)
         return out
-    points = _stencil_points(x, top)
-    (kind, j, coeffs), *finer = levels
-    out = _level_synth(family, kind, j, coeffs, points)
-    for kind, j, coeffs in finer:
-        out += _level_synth(family, kind, j, coeffs, points)
+    y, pos, _ = _stencil_points(x, top)
+    out = None
+    for kind, j, coeffs in levels:
+        level = np.zeros(coeffs.shape[:-1] + x.shape)
+        for idx, vals in _stencil(family, kind, j, y, pos, top):
+            level += coeffs[..., idx] * vals
+            del idx, vals  # free this step's arrays before the stencil makes the next
+        level *= 2.0 ** (j / 2.0)
+        out = level if out is None else np.add(out, level, out=out)
+        del level  # freed before the next level's
     return out
 
 
@@ -342,13 +331,12 @@ def synthesize_at(
 
     Returns a new ``rows + x.shape`` array, 0-d for a scalar x: one row per series of
     a stack, with that row's own arithmetic, whether it shares a pass with the others
-    or goes alone (see ``_synthesize``, top = max(tau, j_max) + 1). Haar cells give the
-    stencil's bits, and so does Daubechies synthesis anywhere but on a midpoint grid.
+    or goes alone (see ``_synthesize``). Haar cells give the stencil's bits, and so does
+    Daubechies synthesis anywhere but on a midpoint grid.
     """
     levels = [("scaling", expansion.tau, expansion.alpha),
               *(("wavelet", j, c) for j, c in zip(expansion.levels(), expansion.beta))]
-    return _synthesize(family, levels, np.asarray(x, dtype=float),
-                       max(expansion.tau, expansion.j_max) + 1)
+    return _synthesize(family, levels, np.asarray(x, dtype=float))
 
 
 def eval_periodized(family: WaveletFamily, kind: str, j: int, k: int, x) -> np.ndarray | float:
@@ -369,7 +357,7 @@ def eval_periodized(family: WaveletFamily, kind: str, j: int, k: int, x) -> np.n
         raise ValueError(f"shift k = {k} out of range for level {j}")
     x_arr = np.asarray(x, dtype=float)
     unit = np.eye(1, 1 << j, k)[0]  # e_k
-    vals = _synthesize(family, [(kind, j, unit)], x_arr, j + 1)
+    vals = _synthesize(family, [(kind, j, unit)], x_arr)
     return float(vals) if x_arr.ndim == 0 else vals
 
 

@@ -336,10 +336,10 @@ def family_fields(family):
     return {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in vars(family).items()}
 
 
-def test_candidates_keep_only_the_grid_tables_they_need():
-    # the grid tables live only inside the synthesis call: after the call nothing is left
-    # but each candidate's grid values, with no learning-point stencil, no thresholded stack
-    # and no table, and the family is as it was built
+def test_candidates_keep_only_their_grid_values():
+    # after the call nothing is left but each candidate's grid values: no learning-point
+    # stencil, no thresholded stack and no per-level grid table, and the family is as it
+    # was built
     sample = sample_density(get_target("triangle", "density"), 2 ** 15, 8)
     for name in ("Haar", "Daubechies4"):
         family = build_family(name, 12)

@@ -1,6 +1,7 @@
 """Risk measurement, Monte Carlo engine, and verification reports."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -237,6 +238,58 @@ def test_checks_reject_zero_reps_and_bad_rho(haar):
     for rho in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="rho"):
             check_deviation(haar, uniform, rho, (1.0,), 128, 10)
+
+
+def test_library_entry_points_reject_what_the_cli_rejects(monkeypatch, haar):
+    # the CLI parses n, reps, seed, grid_size and cascade_depth as integers in range; each
+    # library entry point behind them rejects the same values with a ValueError that names
+    # the value, before any truth analysis, stream derivation or sampling
+    def no_work(*args, **kwargs):
+        raise AssertionError("an entry point worked before checking its input")
+
+    for module in (evaluate, simulate):
+        monkeypatch.setattr(module, "derive_rng", no_work)
+        monkeypatch.setattr(module, "sample_density_rows", no_work)
+    monkeypatch.setattr(evaluate, "analyze", no_work)
+    density, regression = get_target("uniform", "density"), get_target("uniform", "regression")
+
+    def config(**kwargs):
+        return MonteCarloConfig(**{"model": "density", "target": "uniform", "ns": (256,),
+                                   "reps": 1, **kwargs})
+
+    cases = [
+        ("grid_size", "nan", lambda: LossSpec("density", 2.0, math.nan)),
+        ("grid_size", "2.5", lambda: LossSpec("density", 2.0, 2.5)),
+        ("grid_size", "inf", lambda: LossSpec("density", 2.0, math.inf)),
+        ("grid_size", "1", lambda: LossSpec("regression", 1.0, 1)),
+        ("reps", "nan", lambda: config(reps=math.nan)),
+        ("reps", "2.5", lambda: config(reps=2.5)),
+        ("root_seed", "1.5", lambda: config(root_seed=1.5)),
+        ("n", "100.5", lambda: config(ns=(100.5,))),
+        ("grid_size", "nan", lambda: config(grid_size=math.nan)),
+        ("cascade_depth", "12.5", lambda: config(family="Daubechies4", cascade_depth=12.5)),
+        ("reps", "nan", lambda: check_moment(haar, density, [(2, 0)], (256, 512, 1024), math.nan)),
+        ("reps", "0", lambda: check_moment(haar, density, [(2, 0)], (256, 512, 1024), 0)),
+        ("n", "64.5", lambda: check_moment(haar, density, [(2, 0)], (64.5, 128, 256), 10)),
+        ("n", "15", lambda: check_moment(haar, density, [(2, 0)], (64, 128, 15), 10)),
+        ("root_seed", "nan", lambda: check_moment(haar, density, [(2, 0)], (64, 128, 256), 10,
+                                                  root_seed=math.nan)),
+        ("n", "nan", lambda: check_deviation(haar, density, 2.0, (1.0,), math.nan, 10)),
+        ("reps", "1.5", lambda: check_deviation(haar, density, 2.0, (1.0,), 128, 1.5)),
+        ("root_seed", "-1", lambda: check_deviation(haar, density, 2.0, (1.0,), 128, 10,
+                                                    root_seed=-1)),
+        ("cascade_depth", "12.5", lambda: build_family("Daubechies4", 12.5)),
+        ("cascade_depth", "5", lambda: build_family("Daubechies4", 5)),
+        ("n", "20.5", lambda: simulate.sample_density(density, 20.5, 1)),
+        ("n", "15", lambda: simulate.sample_density(density, 15, 1)),
+        ("seed", "1.5", lambda: simulate.sample_density(density, 64, 1.5)),
+        ("seed", "-1", lambda: simulate.sample_density(density, 64, -1)),
+        ("n", "20.5", lambda: simulate.sample_regression(regression, 20.5, "bernoulli", 1)),
+        ("seed", "nan", lambda: simulate.sample_regression(regression, 64, "bernoulli", math.nan)),
+    ]
+    for name, value, call in cases:
+        with pytest.raises(ValueError, match=rf"^{name}\b.* {re.escape(value)}\b"):
+            call()
 
 
 @pytest.mark.parametrize("levels,bad", [
