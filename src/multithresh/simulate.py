@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,8 +32,12 @@ UNIFORM_NOISE_DELTA = 0.1  # half-width of the uniform regression noise U[-delta
 
 
 def derive_rng(root_seed: int, *indices: int) -> np.random.Generator:
-    """Independent generator for one replication, replayable from its indices."""
-    return np.random.default_rng(np.random.SeedSequence([int(root_seed), *map(int, indices)]))
+    """Independent generator for one replication, replayable from its integer indices."""
+    try:  # operator.index, not int: derive_rng(1.5) must not give derive_rng(1)'s stream
+        entropy = [operator.index(v) for v in (root_seed, *indices)]
+    except TypeError:
+        raise ValueError(f"seeds must be integers, got {(root_seed, *indices)!r}") from None
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 @dataclass(frozen=True)

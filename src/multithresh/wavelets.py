@@ -101,27 +101,23 @@ def _cascade_tables(h: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Dyadic tables of phi and psi on [0, W] with step 2^-depth."""
     L = len(h)
     W = L - 1
-    # Values at the integers: eigenvector of M[i, m] = sqrt(2) h[2i - m]
-    # for eigenvalue 1, normalized so that the integer samples sum to one
-    # (partition of unity).
+    # Values at the integers: eigenvector of M[i, m] = sqrt(2) h[2i - m] for eigenvalue 1,
+    # normalized so that the integer samples sum to one (partition of unity).
     M = np.zeros((W + 1, W + 1))
     for i in range(W + 1):
-        lo = max(0, 2 * i - (L - 1))
-        hi = min(W, 2 * i)
-        for m in range(lo, hi + 1):
+        for m in range(max(0, 2 * i - W), min(W, 2 * i) + 1):
             M[i, m] = SQRT2 * h[2 * i - m]
     eigvals, eigvecs = np.linalg.eig(M)
     phi = np.real(eigvecs[:, np.argmin(np.abs(eigvals - 1.0))])
     phi = phi / phi.sum()
     for r in range(1, depth + 1):
-        prev_len = W * (1 << (r - 1)) + 1
         cur_len = W * (1 << r) + 1
         cur = np.zeros(cur_len)
         cur[::2] = phi
         odd = np.arange(1, cur_len, 2)
         for k in range(L):
             src = odd - k * (1 << (r - 1))
-            ok = (src >= 0) & (src < prev_len)
+            ok = (src >= 0) & (src < len(phi))
             cur[odd[ok]] += SQRT2 * h[k] * phi[src[ok]]
         phi = cur
     # psi(x) = sqrt(2) sum_k g[k] phi(2x - k) with g[k] = (-1)^k h[L-1-k],
@@ -167,15 +163,6 @@ def build_family(name: str, cascade_depth: int = 12) -> WaveletFamily:
         phi_table=phi_table,
         psi_table=psi_table,
     )
-
-
-def _lerp(family: WaveletFamily, kind: str, z: np.ndarray) -> np.ndarray:
-    """Interpolate the generator's cascade table at z in [0, support_width]."""
-    table = family.phi_table if kind == "scaling" else family.psi_table
-    pos = z * (1 << family.cascade_depth)
-    i0 = np.minimum(np.floor(pos).astype(np.int64), len(table) - 2)
-    frac = pos - i0
-    return table[i0] * (1.0 - frac) + table[i0 + 1] * frac
 
 
 # ---------------------------------------------------------------------------
@@ -226,28 +213,36 @@ def _stencil(family: WaveletFamily, kind: str, j: int, y: np.ndarray, pos: np.nd
     """Yield (shift indices, new generator values) of the support_width level-j translates at y.
 
     ``y`` is x - floor(x) and ``pos`` = floor(2^top y), top >= j (top > j for the Haar
-    wavelet). Scaling by 2^top is exact, so the shift base is
-    pos >> (top - j), and the Haar wavelet's sign is bit top - j - 1 of pos.
-    The indices are masked: x - floor(x) rounds a tiny negative x to 1.0.
+    wavelet). Scaling by 2^top is exact, so the shift base is pos >> (top - j), and the
+    Haar wavelet's sign is bit top - j - 1 of pos. Daubechies shift m reads the cascade
+    table at i0 + m 2^depth with weight f, both taken once from (2^j y - base) 2^depth in
+    [0, 2^depth): no index passes the table's last, W 2^depth. The indices are masked:
+    x - floor(x) rounds a tiny negative x to 1.0.
     """
     mask, base = (1 << j) - 1, pos >> (top - j)
     if family.is_haar:
         yield np.bitwise_and(base, mask, out=base), (
             1.0 - 2.0 * ((pos >> (top - j - 1)) & 1) if kind == "wavelet" else np.ones_like(y))
         return
-    frac = y * (1 << j) - base
+    table = family.phi_table if kind == "scaling" else family.psi_table
+    step = 1 << family.cascade_depth
+    f = (y * (1 << j) - base) * step
+    i0 = np.floor(f).astype(np.int64)
+    f -= i0
+    g = 1.0 - f
     for m in range(family.support_width):
-        vals = _lerp(family, kind, frac + m)  # first: the other order costs page faults
+        vals = table[m * step:][i0] * g  # first: the other order costs page faults
+        vals += table[m * step + 1:][i0] * f
         yield (base - m) & mask, vals
 
 
-def _stencil_points(x: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The ``_stencil`` input (y, floor(2^top y), top) of finite x; y = x - floor(x) = x mod 1."""
+def _stencil_points(x: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_stencil`` input (y, floor(2^top y)) of finite x; y = x - floor(x) = x mod 1."""
     if not np.isfinite(x).all():
         raise ValueError("points must be finite")
     y = np.floor(x)
     np.subtract(x, y, out=y)  # np.mod(x, 1.0)'s bits for finite x, with no second temporary
-    return y, np.floor(y * (1 << top)).astype(np.int64), top
+    return y, np.floor(y * (1 << top)).astype(np.int64)
 
 
 def _dyadic_grid_size(x: np.ndarray) -> int | None:
@@ -311,7 +306,7 @@ def _synthesize(family: WaveletFamily, levels, x: np.ndarray) -> np.ndarray:
                 ext = np.concatenate((c[(1 << j) - w + 1:], c))
                 row += (sliding_window_view(ext, w)[:, ::-1] @ table).reshape(size)
         return out
-    y, pos, _ = _stencil_points(x, top)
+    y, pos = _stencil_points(x, top)
     out = None
     for kind, j, coeffs in levels:
         level = np.zeros(coeffs.shape[:-1] + x.shape)
@@ -355,10 +350,9 @@ def eval_periodized(family: WaveletFamily, kind: str, j: int, k: int, x) -> np.n
         raise ValueError(f"level {j} below coarsest level tau = {family.tau}")
     if not 0 <= k < (1 << j):
         raise ValueError(f"shift k = {k} out of range for level {j}")
-    x_arr = np.asarray(x, dtype=float)
-    unit = np.eye(1, 1 << j, k)[0]  # e_k
-    vals = _synthesize(family, [(kind, j, unit)], x_arr)
-    return float(vals) if x_arr.ndim == 0 else vals
+    x = np.asarray(x, dtype=float)
+    vals = _synthesize(family, [(kind, j, np.eye(1, 1 << j, k)[0])], x)  # e_k at level j
+    return float(vals) if x.ndim == 0 else vals
 
 
 def analyze_points(
@@ -389,7 +383,8 @@ def analyze_points(
         raise ValueError(f"n must be at least 1, got {n}")
     # decided before the stencil points, so its boolean temporaries do not add to their peak
     pyramid = family.is_haar and (weights is None or ((weights == 0.0) | (weights == 1.0)).all())
-    y, pos, top = _stencil_points(x, j_max + 1)
+    top = j_max + 1
+    y, pos = _stencil_points(x, top)
     coeffs = np.zeros(1 << top)
     if pyramid:
         sums = np.bincount(pos & ((1 << top) - 1), weights, minlength=1 << top)

@@ -223,6 +223,19 @@ def test_derived_streams_are_independent():
     assert not np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("seed, indices, bad", [
+    (1.5, (), "1.5"), (np.float64(1.0), (), "1.0"), (1, (2.5,), "2.5"),
+    (1, (0, float("nan")), "nan"), ("1", (), "'1'"), (None, (), "None"),
+])
+def test_derived_streams_take_integers_only(seed, indices, bad):
+    # a float seed was truncated: derive_rng(1.5) gave derive_rng(1)'s stream
+    with pytest.raises(ValueError, match=f"must be integers.*{bad}"):
+        derive_rng(seed, *indices)
+    # numpy and Python integers, bools included, name the same stream
+    same = derive_rng(np.int64(1), True).random(4)
+    assert np.array_equal(same, derive_rng(1, 1).random(4))
+
+
 def test_all_outputs_in_unit_interval():
     for t in TARGETS:
         if t.is_density:

@@ -13,7 +13,7 @@ from multithresh.wavelets import (
     _FILTERS,
     SUPPORTED_FAMILIES,
     WaveletExpansion,
-    _lerp,
+    _stencil,
     _stencil_points,
     analyze,
     analyze_points,
@@ -44,8 +44,23 @@ def random_expansion(rng, tau, j_max, scale=1.0):
 # Reference stencil: mod and floor at each level, the generator masked to its
 # support. The package's stencil (integer positions, unmasked interpolation)
 # must give the same synthesis and analysis: bit for bit, or within 1e-12 where
-# a test says so.
+# a test says so. A Daubechies level reads the cascade table at the exact shift
+# i0 + m 2^depth of its fraction's position; ``exact_shift=False`` interpolates
+# at the rounded sum frac + m instead, within 1e-12 of it.
 # ---------------------------------------------------------------------------
+
+def lerp_at(family, kind, z):
+    """The cascade table interpolated at z in [0, support_width], computed from z itself.
+
+    One zero past the table's end serves z = support_width, where the weight of the
+    next entry is zero.
+    """
+    table = np.append(family.phi_table if kind == "scaling" else family.psi_table, 0.0)
+    pos = z * (1 << family.cascade_depth)
+    i0 = np.floor(pos).astype(np.int64)
+    frac = pos - i0
+    return table[i0] * (1.0 - frac) + table[i0 + 1] * frac
+
 
 def ref_base_eval(family, kind, z):
     """The unscaled generator at z; zero outside [0, support_width]."""
@@ -58,23 +73,41 @@ def ref_base_eval(family, kind, z):
         )
     out = np.zeros_like(z, dtype=float)
     ok = (z >= 0.0) & (z <= family.support_width)
-    out[ok] = _lerp(family, kind, z[ok])
+    out[ok] = lerp_at(family, kind, z[ok])
     return out
 
 
-def ref_stencil(family, kind, j, x):
+def ref_table_shift(family, kind, frac, m):
+    """The generator at frac + m for frac in [0, 1): the table at i0 + m 2^depth, weight f."""
+    table = family.phi_table if kind == "scaling" else family.psi_table
+    step = 1 << family.cascade_depth
+    pos0 = frac * step
+    i0 = np.floor(pos0).astype(np.int64)
+    f = pos0 - i0
+    i = i0 + m * step
+    out = np.zeros_like(frac)
+    ok = (i >= 0) & (i < family.support_width * step)
+    out[ok] = table[i[ok]] * (1.0 - f[ok]) + table[i[ok] + 1] * f[ok]
+    return out
+
+
+def ref_stencil(family, kind, j, x, exact_shift=True):
     """Yield (shift indices, generator values) of the level-j translates meeting x."""
     two_j = 1 << j
     t = two_j * np.mod(x, 1.0)
     kb = np.floor(t).astype(np.int64)
     frac = t - kb
     for m in range(family.support_width):
-        yield np.mod(kb - m, two_j), ref_base_eval(family, kind, frac + m)
+        if exact_shift and not family.is_haar:
+            vals = ref_table_shift(family, kind, frac, m)
+        else:
+            vals = ref_base_eval(family, kind, frac + m)
+        yield np.mod(kb - m, two_j), vals
 
 
-def ref_level_synth(family, kind, j, coeffs, x):
+def ref_level_synth(family, kind, j, coeffs, x, exact_shift=True):
     out = np.zeros(coeffs.shape[:-1] + np.shape(x))
-    for idx, vals in ref_stencil(family, kind, j, x):
+    for idx, vals in ref_stencil(family, kind, j, x, exact_shift):
         out += coeffs[..., idx] * vals
     out *= 2.0 ** (j / 2.0)
     return out
@@ -86,12 +119,14 @@ def stack_of(expansions):
     return WaveletExpansion(first.tau, np.array([e.coeffs for e in expansions]))
 
 
-def ref_synth(family, expansions, x):
+def ref_synth(family, expansions, x, exact_shift=True):
     """Row r is the series of ``expansions[r]`` at x, every level through ``ref_stencil``."""
     first = expansions[0]
-    out = ref_level_synth(family, "scaling", first.tau, np.array([e.alpha for e in expansions]), x)
+    out = ref_level_synth(family, "scaling", first.tau, np.array([e.alpha for e in expansions]), x,
+                          exact_shift)
     for i, j in enumerate(first.levels()):
-        out += ref_level_synth(family, "wavelet", j, np.array([e.beta[i] for e in expansions]), x)
+        out += ref_level_synth(family, "wavelet", j, np.array([e.beta[i] for e in expansions]), x,
+                               exact_shift)
     return out
 
 
@@ -471,8 +506,9 @@ def unit(size, k):
 @pytest.mark.parametrize("name", SUPPORTED_FAMILIES)
 def test_eval_periodized_matches_masked_reference_at_cell_boundaries(name):
     # at every cell edge and midpoint of level j and both neighbours of each: bit for bit the
-    # reference synthesis of the unit coefficient e_k, and within 1e-12 of the generator at
-    # (2^j x - k) mod 2^j masked to [0, support_width], which misses the wrap point x < 0
+    # reference synthesis of the unit coefficient e_k, within 1e-12 of it at frac + m, and
+    # within 1e-12 of the generator at (2^j x - k) mod 2^j masked to [0, support_width],
+    # which misses the wrap point x < 0
     family = FAMILIES[name]
     for j in range(family.tau, family.tau + 4):
         cells = np.arange(1 << j)
@@ -485,6 +521,9 @@ def test_eval_periodized_matches_masked_reference_at_cell_boundaries(name):
                 got = eval_periodized(family, kind, j, k, x)
                 assert same_bits(got, ref_level_synth(family, kind, j, unit(1 << j, k), x)), \
                     (kind, j, k)
+                np.testing.assert_allclose(
+                    got, ref_level_synth(family, kind, j, unit(1 << j, k), x, exact_shift=False),
+                    rtol=0, atol=1e-12)
                 z = np.mod((1 << j) * x - k, 1 << j)
                 lattice = 2.0 ** (j / 2.0) * ref_base_eval(family, kind, z)
                 np.testing.assert_allclose(got[x >= 0], lattice[x >= 0], rtol=0, atol=1e-12)
@@ -511,9 +550,38 @@ def test_point_positions_have_the_bits_of_mod_one(values):
     edges = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0 ** 52 + 0.5, -(2.0 ** 52) - 0.5, 1e308,
              -1e308, 5e-324, -5e-324, -1e-20, float(np.nextafter(1.0, 0.0))]
     x = np.array(values + edges)
-    y, pos, top = _stencil_points(x, 10)
-    assert same_bits(y, np.mod(x, 1.0)) and top == 10
+    y, pos = _stencil_points(x, 10)
+    assert same_bits(y, np.mod(x, 1.0))
     assert np.array_equal(pos, np.floor(np.mod(x, 1.0) * 1024).astype(np.int64))
+
+
+DAUBECHIES = [name for name in SUPPORTED_FAMILIES if not FAMILIES[name].is_haar]
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(DAUBECHIES), scaling=st.booleans(), level=st.integers(0, 15),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       values=st.lists(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+                       max_size=32))
+def test_table_lookup_at_the_exact_shift_keeps_the_bits_of_frac_plus_m(name, scaling, level,
+                                                                         seed, values):
+    # numpy random() doubles are multiples of 2^-53, so frac + m is exact at every level
+    # tau..15 and the exact-shift lookup reads the same entries with the same weight: the
+    # bits of the frac + m reference. Any finite x stays within 1e-12 of it, where frac + m
+    # rounds, and keeps the bits of the exact-shift reference
+    family = FAMILIES[name]
+    kind = "scaling" if scaling else "wavelet"
+    j = max(level, family.tau)
+    random = np.random.default_rng(seed).random(256)
+    x = np.concatenate([random, values, [0.0, 1.0 - 2.0 ** -53, -1e-20]])
+    y, pos = _stencil_points(x, j + 1)
+    got = _stencil(family, kind, j, y, pos, j + 1)
+    for (idx, vals), (_, rounded), (want_idx, exact) in zip(
+            got, ref_stencil(family, kind, j, x, exact_shift=False), ref_stencil(family, kind, j, x)):
+        assert np.array_equal(idx, want_idx)
+        assert same_bits(vals, exact)
+        assert same_bits(vals[:random.size], rounded[:random.size])
+        np.testing.assert_allclose(vals, rounded, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -556,6 +624,8 @@ def test_synthesis_at_points_matches_reference_stencil(name):
         assert same_bits(synthesize_at(family, stack_of(es), x), ref_synth(family, es, x))
         x2 = x[:600].reshape(20, 30)
         assert same_bits(synthesize_at(family, stack_of(es), x2), ref_synth(family, es, x2))
+        np.testing.assert_allclose(synthesize_at(family, stack_of(es), x),
+                                   ref_synth(family, es, x, exact_shift=False), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["Haar", "Daubechies4", "Daubechies8"])
@@ -643,6 +713,8 @@ def test_grid_tables_match_pointwise_stencil(name, size):
             assert same_bits(fast, ref), j_max
         else:
             np.testing.assert_allclose(fast, ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fast, ref_synth(family, [e], grid, exact_shift=False)[0],
+                                   rtol=0, atol=1e-12)
         # a grid with one point moved is not the midpoint grid: the stencil applies
         moved = grid.copy()
         moved[-1] = 1.0 - 0.25 / size
